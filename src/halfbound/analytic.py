@@ -28,7 +28,6 @@ __all__ = [
     "BoundSpectrum",
     "DegeneracyError",
     "ValidityError",
-    "WaveNumbers",
     "delta_well_R",
     "exp_well_bound_states",
     "exp_well_hbs",
@@ -54,23 +53,6 @@ class ValidityError(ValueError):
 
 class DegeneracyError(ArithmeticError):
     """A formula denominator is numerically zero; perturb the energy slightly."""
-
-
-@dataclass(frozen=True)
-class WaveNumbers:
-    """Wavenumber bookkeeping for one energy: exactly one of k, kappa is active."""
-
-    E: float
-    k: float
-    kappa: float
-    epsilon: float | None = None
-
-    @classmethod
-    def from_energy(cls, E: float, V0: float | None = None) -> "WaveNumbers":
-        k = math.sqrt(E) if E > 0.0 else 0.0
-        kappa = math.sqrt(-E) if E < 0.0 else 0.0
-        eps = (E / V0) if V0 else None
-        return cls(E=E, k=k, kappa=kappa, epsilon=eps)
 
 
 @dataclass(frozen=True)

@@ -342,7 +342,6 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--slices", type=int, default=4000, help="transfer-matrix slice count")
         sp.add_argument("--tail-tol", type=float, default=potentials.DEFAULT_TAIL_TOL)
         sp.add_argument("--out", default=None, help="output file (default stdout)")
-        sp.add_argument("--format", choices=("csv", "json"), default=None, help="(informational; each command has a native format)")
         sp.add_argument("--workers", type=int, default=1, help="scan worker processes (0 = all cores)")
 
     sp = sub.add_parser("reflect", help="one reflection/transmission evaluation")

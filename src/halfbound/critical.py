@@ -93,12 +93,9 @@ def _mismatch_batch(family: PotentialFamily, qs: np.ndarray, cfg: GridConfig | N
 
     All catalogued shapes scale linearly with depth, V(x; q) = V0(q) s(x), so
     one sampling of the shape s on the integration grid serves every q in the
-    scan; the Runge-Kutta state is carried as a vector across strengths.
+    scan; the strengths form the batch axis of the RK4 step matrices.
     """
-    cfg = cfg or GridConfig()
     probe = family.at(float(qs[0]))
-    lo, hi = potentials.support_bounds(probe, cfg.tail_tol)
-    h_target = cfg.step if cfg.step is not None else scatter.default_step(probe)
     if probe.kind == "SolitonWell":
         nu0 = probe.params["nu"]
         v0_probe = nu0 * (nu0 - 1.0)
@@ -109,27 +106,11 @@ def _mismatch_batch(family: PotentialFamily, qs: np.ndarray, cfg: GridConfig | N
         depths = (np.asarray(qs) / a) ** 2
     scale = depths / v0_probe
 
-    y = np.ones_like(depths, dtype=float)
-    yp = np.zeros_like(depths, dtype=float)
-    for x0, x1 in ((lo, 0.0), (0.0, hi)):
-        n = max(int(math.ceil((x1 - x0) / h_target)), 16)
-        vn, vm, h = scatter._grid_samples(probe, x0, x1, n)
-        h2, h6 = 0.5 * h, h / 6.0
-        for i in range(n):
-            g0 = scale * vn[i]
-            g1 = scale * vm[i]
-            g2 = scale * vn[i + 1]
-            k1y = yp
-            k1p = g0 * y
-            k2y = yp + h2 * k1p
-            k2p = g1 * (y + h2 * k1y)
-            k3y = yp + h2 * k2p
-            k3p = g1 * (y + h2 * k2y)
-            k4y = yp + h * k3p
-            k4p = g2 * (y + h * k3y)
-            y = y + h6 * (k1y + 2.0 * (k2y + k3y) + k4y)
-            yp = yp + h6 * (k1p + 2.0 * (k2p + k3p) + k4p)
-    return yp
+    total = np.eye(2)[..., None]
+    for _, vn, vm, h in scatter._traverse(probe, cfg or GridConfig()):
+        total = scatter._mul(scatter._rk4_product(vn, vm, h, scale)[0], total)
+    # psi'(L1) of the shot that starts from (psi, psi') = (1, 0)
+    return total[1, 0]
 
 
 def find_critical_q(family: PotentialFamily, bracket: tuple[float, float], cfg: GridConfig | None = None) -> HbsResult:

@@ -209,8 +209,8 @@ def evaluate(p: Potential, x):
     return out
 
 
-def from_descriptor(desc, tail_tol: float = DEFAULT_TAIL_TOL) -> Potential:
-    """Build a well from a JSON descriptor {"kind": ..., "params": {...}}."""
+def _parse_descriptor(desc) -> tuple[str, Mapping[str, float]]:
+    """(kind, params) of a descriptor given as a dict or as JSON text."""
     if isinstance(desc, (str, bytes)):
         try:
             desc = json.loads(desc)
@@ -218,7 +218,13 @@ def from_descriptor(desc, tail_tol: float = DEFAULT_TAIL_TOL) -> Potential:
             raise PotentialError(f"descriptor is not valid JSON: {e}") from e
     if not isinstance(desc, dict) or "kind" not in desc:
         raise PotentialError('descriptor must be an object with "kind" and "params"')
-    return make_potential(desc["kind"], desc.get("params", {}), tail_tol=tail_tol)
+    return desc["kind"], desc.get("params", {})
+
+
+def from_descriptor(desc, tail_tol: float = DEFAULT_TAIL_TOL) -> Potential:
+    """Build a well from a JSON descriptor {"kind": ..., "params": {...}}."""
+    kind, params = _parse_descriptor(desc)
+    return make_potential(kind, params, tail_tol=tail_tol)
 
 
 @dataclass(frozen=True)
@@ -262,12 +268,6 @@ def make_family(kind: str, tail_tol: float = DEFAULT_TAIL_TOL, **fixed: float) -
 
 def family_from_descriptor(desc, tail_tol: float = DEFAULT_TAIL_TOL) -> PotentialFamily:
     """Family from a descriptor whose params omit the strength (V0 or nu)."""
-    if isinstance(desc, (str, bytes)):
-        try:
-            desc = json.loads(desc)
-        except json.JSONDecodeError as e:
-            raise PotentialError(f"descriptor is not valid JSON: {e}") from e
-    if not isinstance(desc, dict) or "kind" not in desc:
-        raise PotentialError('descriptor must be an object with "kind" and "params"')
-    fixed = {k: v for k, v in desc.get("params", {}).items() if k not in ("V0", "nu")}
-    return make_family(desc["kind"], tail_tol=tail_tol, **fixed)
+    kind, params = _parse_descriptor(desc)
+    fixed = {k: v for k, v in params.items() if k not in ("V0", "nu")}
+    return make_family(kind, tail_tol=tail_tol, **fixed)

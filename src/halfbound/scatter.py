@@ -7,8 +7,12 @@ fourth-order Runge-Kutta for the two fundamental solutions
 
 outward to both support edges, assembles the reflection amplitude from their
 boundary values, and provides an independent transfer-matrix route that yields
-both r and t.  The two routes share no code beyond potential evaluation, so
-their agreement is a genuine cross-check and is kept that way on purpose.
+both r and t.  The equation is linear, so one RK4 step is an exact 2x2 matrix
+on (psi, psi'); every RK4 integration here is the ordered product of those
+step matrices.  The two routes share only that product (a plain 2x2 reduction,
+tested on its own) and potential evaluation; their step rules and sample
+points stay separate, so their agreement is a genuine cross-check and is kept
+that way on purpose.
 
 Edge sampling: kinds with a jump at the support edge (square and
 square-triangular profiles are defined on open/closed intervals) must never be
@@ -27,7 +31,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -57,6 +60,9 @@ EDGE_FRACTION = 1e-9
 DRIFT_TOL = 1e-8
 
 _MAX_HALVINGS = 6
+
+#: Matrices built and reduced at once (batch x steps); bounds the working set.
+_CHUNK = 1 << 14
 
 
 class IntegrationError(ArithmeticError):
@@ -137,8 +143,8 @@ def default_step(p: Potential) -> float:
     return min(a, 1.0) / 2000.0
 
 
-def _grid_samples(p: Potential, x0: float, x1: float, n: int) -> tuple[list, list, float]:
-    """Potential minus nothing at nodes/midpoints of an n-step grid x0 -> x1.
+def _grid_samples(p: Potential, x0: float, x1: float, n: int) -> tuple[np.ndarray, np.ndarray, float]:
+    """Potential at nodes/midpoints of an n-step grid x0 -> x1.
 
     The outermost node samples are nudged to the interior one-sided limit.
     Returns (V_nodes, V_midpoints, h) with h signed.
@@ -150,61 +156,110 @@ def _grid_samples(p: Potential, x0: float, x1: float, n: int) -> tuple[list, lis
     lo, hi = p.support
     eps = EDGE_FRACTION * max(hi - lo, 1.0)
     inward = -eps if x1 >= x0 else eps
-    node_samples = nodes.copy()
-    node_samples[-1] += inward
+    nodes[-1] += inward
     if abs(x0 - lo) < eps or abs(x0 - hi) < eps:
-        node_samples[0] -= inward
-    vn = potentials.evaluate(p, node_samples)
-    vm = potentials.evaluate(p, mids)
-    return list(np.atleast_1d(vn)), list(np.atleast_1d(vm)), h
+        nodes[0] -= inward
+    return potentials.evaluate(p, nodes), potentials.evaluate(p, mids), h
 
 
-def _rk4_pair(gn: Sequence[float], gm: Sequence[float], h: float) -> tuple[float, float, float, float, float]:
-    """Advance (u, u', v, v') from the shared origin conditions; track drift."""
-    u, up, v, vp = 1.0, 0.0, 0.0, 1.0
+def _traverse(p: Potential, cfg: GridConfig):
+    """Grids of a left edge -> right edge traverse with a node at the origin.
+
+    Yields (x0, V_nodes, V_midpoints, h) for the segments -L2 -> 0 and 0 -> L1.
+    """
+    lo, hi = potentials.support_bounds(p, cfg.tail_tol)
+    h_target = cfg.step if cfg.step is not None else default_step(p)
+    for x0, x1 in ((lo, 0.0), (0.0, hi)):
+        n = max(int(math.ceil((x1 - x0) / h_target)), 16)
+        yield (x0, *_grid_samples(p, x0, x1, n))
+
+
+def _mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b for stacks of 2x2 matrices stored entries first, (2, 2, ...).
+
+    Entry (i, j) is a[i, 0] b[0, j] + a[i, 1] b[1, j], broadcast over i and j:
+    three array operations, against np.matmul's per-matrix loop.
+    """
+    return a[:, :1] * b[None, 0] + a[:, 1:] * b[None, 1]
+
+
+def _ordered_product(mats: np.ndarray) -> np.ndarray:
+    """M_{N-1} @ ... @ M_0 by pairwise reduction (keeps left-to-right order).
+
+    ``mats`` is (2, 2, *batch, N) with the factors along the last axis; the
+    result is (2, 2, *batch).
+    """
+    while mats.shape[-1] > 1:
+        n2 = (mats.shape[-1] // 2) * 2
+        prod = _mul(mats[..., 1:n2:2], mats[..., 0:n2:2])
+        mats = np.concatenate([prod, mats[..., n2:]], axis=-1) if n2 < mats.shape[-1] else prod
+    return mats[..., 0]
+
+
+def _prefix_products(mats: np.ndarray) -> np.ndarray:
+    """All M_i @ ... @ M_0 along the last axis of (2, 2, *batch, N), by a log-step scan."""
+    d = 1
+    while d < mats.shape[-1]:
+        mats = np.concatenate([mats[..., :d], _mul(mats[..., d:], mats[..., :-d])], axis=-1)
+        d *= 2
+    return mats
+
+
+def _rk4_steps(gn: np.ndarray, gm: np.ndarray, h: float, scale=1.0):
+    """Classical RK4 step matrices of psi'' = g psi, in chunks along the grid.
+
+    ``gn`` holds g at the n + 1 grid nodes and ``gm`` at the n midpoints.  Each
+    chunk is multiplied by ``scale`` (a scalar, or one batch axis of depths) and
+    laid out (2, 2, *batch, steps); matrix i maps (psi, psi') at node i to node
+    i + 1 exactly as one RK4 step of width h does.  With a, b, c = g at node i,
+    the midpoint and node i + 1 that matrix is
+
+        [[1 + h^2 (a + 2b)/6 + h^4 ab/24,                  h + h^3 b/6                  ],
+         [h (a + 4b + c)/6 + h^3 b (a + c)/12,   1 + h^2 (2b + c)/6 + h^4 bc/24]],
+
+    evaluated below in the variables A, B, C = h^2/6 times a, b, c.
+    """
+    s = np.asarray(scale, dtype=float)[..., None]
+    width = max(_CHUNK // s.size, 1)
+    h6 = h * h / 6.0
+    gn = gn * h6
+    gm = gm * h6
+    n = gm.shape[0]
+    for i in range(0, n, width):
+        j = min(i + width, n)
+        A = s * gn[i:j]
+        B = s * gm[i:j]
+        C = s * gn[i + 1:j + 1]
+        m = np.empty((2, 2) + B.shape)
+        m[0, 0] = 1.0 + A + B * (2.0 + 1.5 * A)
+        m[0, 1] = h * (1.0 + B)
+        m[1, 0] = (A + C + B * (4.0 + 3.0 * (A + C))) / h
+        m[1, 1] = 1.0 + C + B * (2.0 + 1.5 * C)
+        yield m
+
+
+def _rk4_product(gn: np.ndarray, gm: np.ndarray, h: float, scale=1.0) -> tuple[np.ndarray, float]:
+    """Propagator across the whole grid of :func:`_rk4_steps`, and its drift.
+
+    Returns (P, drift): P is (2, 2, *batch), and drift is the largest
+    |det(M_i ... M_0) - 1| over all steps (and the batch), which is the
+    wronskian drift of the fundamental pair the columns of P hold.
+    """
+    total = np.eye(2).reshape((2, 2) + (1,) * np.ndim(scale))
+    det = 1.0
     drift = 0.0
-    h2 = 0.5 * h
-    h6 = h / 6.0
-    n = len(gm)
-    for i in range(n):
-        g0 = gn[i]
-        g1 = gm[i]
-        g2 = gn[i + 1]
-        # u component
-        k1y = up
-        k1p = g0 * u
-        k2y = up + h2 * k1p
-        k2p = g1 * (u + h2 * k1y)
-        k3y = up + h2 * k2p
-        k3p = g1 * (u + h2 * k2y)
-        k4y = up + h * k3p
-        k4p = g2 * (u + h * k3y)
-        un = u + h6 * (k1y + 2.0 * (k2y + k3y) + k4y)
-        upn = up + h6 * (k1p + 2.0 * (k2p + k3p) + k4p)
-        # v component
-        k1y = vp
-        k1p = g0 * v
-        k2y = vp + h2 * k1p
-        k2p = g1 * (v + h2 * k1y)
-        k3y = vp + h2 * k2p
-        k3p = g1 * (v + h2 * k2y)
-        k4y = vp + h * k3p
-        k4p = g2 * (v + h * k3y)
-        vn_ = v + h6 * (k1y + 2.0 * (k2y + k3y) + k4y)
-        vpn = vp + h6 * (k1p + 2.0 * (k2p + k3p) + k4p)
-        u, up, v, vp = un, upn, vn_, vpn
-        w = u * vp - up * v
-        if abs(w - 1.0) > drift:
-            drift = abs(w - 1.0)
-    return u, up, v, vp, drift
+    for m in _rk4_steps(gn, gm, h, scale):
+        total = _mul(_ordered_product(m), total)
+        dets = det * np.cumprod(m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0], axis=-1)
+        drift = max(drift, float(np.max(np.abs(dets - 1.0))))
+        det = dets[..., -1:]
+    return total, drift
 
 
-def _side(p: Potential, E: float, edge: float, h_target: float) -> tuple[float, float, float, float, float]:
+def _side(p: Potential, E: float, edge: float, h_target: float) -> tuple[np.ndarray, float]:
     n = max(int(math.ceil(abs(edge) / h_target)), 16)
     vn, vm, h = _grid_samples(p, 0.0, edge, n)
-    gn = [x - E for x in vn]
-    gm = [x - E for x in vm]
-    return _rk4_pair(gn, gm, h)
+    return _rk4_product(vn - E, vm - E, h)
 
 
 def integrate_uv(p: Potential, E: float, cfg: GridConfig | None = None) -> BoundaryData:
@@ -221,10 +276,13 @@ def integrate_uv(p: Potential, E: float, cfg: GridConfig | None = None) -> Bound
     if h <= 0.0:
         raise ValueError(f"step must be positive, got {h}")
     for _ in range(_MAX_HALVINGS + 1):
-        u1, u1p, v1, v1p, d1 = _side(p, E, hi, h)
-        u2, u2p, v2, v2p, d2 = _side(p, E, lo, h)
+        right, d1 = _side(p, E, hi, h)
+        left, d2 = _side(p, E, lo, h)
         drift = max(d1, d2)
         if drift <= DRIFT_TOL:
+            # columns of each propagator are (u, u') and (v, v')
+            (u1, v1), (u1p, v1p) = right.tolist()
+            (u2, v2), (u2p, v2p) = left.tolist()
             k = math.sqrt(E) if E > 0.0 else 0.0
             return BoundaryData(
                 u1=u1, v1=v1, u1p=u1p, v1p=v1p,
@@ -251,49 +309,21 @@ def shoot(
     exactly at the origin.  Returns (psi_L1, dpsi_L1) or, with ``record``,
     (xs, psi, dpsi) as numpy arrays over the whole traverse.
     """
-    cfg = cfg or GridConfig()
-    lo, hi = potentials.support_bounds(p, cfg.tail_tol)
-    h_target = cfg.step if cfg.step is not None else default_step(p)
-    xs_all, ps_all, dp_all = [], [], []
-    y, yp = float(psi0), float(dpsi0)
-    for x0, x1 in ((lo, 0.0), (0.0, hi)):
-        n = max(int(math.ceil((x1 - x0) / h_target)), 16)
-        vn, vm, h = _grid_samples(p, x0, x1, n)
-        gn = [x - E for x in vn]
-        gm = [x - E for x in vm]
-        h2 = 0.5 * h
-        h6 = h / 6.0
-        if record:
-            xs_all.append(x0 + h * np.arange(n + 1) if not xs_all else x0 + h * np.arange(1, n + 1))
-            ps_seg = []
-            dp_seg = []
-            if not ps_all:
-                ps_seg.append(y)
-                dp_seg.append(yp)
-        for i in range(n):
-            g0 = gn[i]
-            g1 = gm[i]
-            g2 = gn[i + 1]
-            k1y = yp
-            k1p = g0 * y
-            k2y = yp + h2 * k1p
-            k2p = g1 * (y + h2 * k1y)
-            k3y = yp + h2 * k2p
-            k3p = g1 * (y + h2 * k2y)
-            k4y = yp + h * k3p
-            k4p = g2 * (y + h * k3y)
-            y = y + h6 * (k1y + 2.0 * (k2y + k3y) + k4y)
-            yp = yp + h6 * (k1p + 2.0 * (k2p + k3p) + k4p)
-            if record:
-                ps_seg.append(y)
-                dp_seg.append(yp)
-        if record:
-            ps_all.extend(ps_seg)
-            dp_all.extend(dp_seg)
+    y = np.array([float(psi0), float(dpsi0)])
+    xs, states = [], [y[:, None]]
+    for x0, vn, vm, h in _traverse(p, cfg or GridConfig()):
+        if not record:
+            y = _rk4_product(vn - E, vm - E, h)[0] @ y
+            continue
+        xs.append(x0 + h * np.arange(1 if xs else 0, vm.size + 1))
+        for m in _rk4_steps(vn - E, vm - E, h):
+            prefix = _prefix_products(m)
+            states.append(prefix[:, 0] * y[0] + prefix[:, 1] * y[1])
+            y = states[-1][:, -1]
     if record:
-        xs = np.concatenate(xs_all)
-        return xs, np.asarray(ps_all), np.asarray(dp_all)
-    return y, yp
+        psi, dpsi = np.concatenate(states, axis=1)
+        return np.concatenate(xs), psi, dpsi
+    return float(y[0]), float(y[1])
 
 
 def reflection_wronskian(bd: BoundaryData) -> ScatterResult:
@@ -327,9 +357,7 @@ def reflection_wronskian(bd: BoundaryData) -> ScatterResult:
 
 
 def _slice_matrices(w2: np.ndarray, d: float) -> np.ndarray:
-    """Exact constant-potential propagators of (psi, psi') over width d."""
-    n = w2.shape[0]
-    mats = np.empty((n, 2, 2), dtype=float)
+    """Exact constant-potential propagators of (psi, psi') over width d, (2, 2, n)."""
     osc = w2 > 0.0
     w = np.sqrt(np.abs(w2))
     wd = w * d
@@ -339,23 +367,7 @@ def _slice_matrices(w2: np.ndarray, d: float) -> np.ndarray:
         s = np.where(osc, np.sin(wd), np.sinh(wd)) / w
     s = np.where(w > 0.0, s, d)
     off = np.where(osc, -w * np.sin(wd), w * np.sinh(wd))
-    mats[:, 0, 0] = c
-    mats[:, 0, 1] = s
-    mats[:, 1, 0] = off
-    mats[:, 1, 1] = c
-    return mats
-
-
-def _ordered_product(mats: np.ndarray) -> np.ndarray:
-    """M_{N-1} @ ... @ M_0 by pairwise reduction (keeps left-to-right order)."""
-    while mats.shape[0] > 1:
-        n2 = (mats.shape[0] // 2) * 2
-        prod = np.matmul(mats[1:n2:2], mats[0:n2:2])
-        if mats.shape[0] % 2:
-            mats = np.concatenate([prod, mats[-1:]], axis=0)
-        else:
-            mats = prod
-    return mats[0]
+    return np.array([[c, s], [off, c]])
 
 
 def transfer_matrix_rt(p: Potential, E: float, n_slices: int | None = None, cfg: GridConfig | None = None) -> ScatterResult:
@@ -396,7 +408,7 @@ def transfer_matrix_rt(p: Potential, E: float, n_slices: int | None = None, cfg:
     return ScatterResult(r=r, t=t, R=R, T=T, unitarity_residual=abs(R + T - 1.0), method="transfer")
 
 
-def threshold_limit_r(bd: BoundaryData, parity_known: bool = False) -> complex:
+def threshold_limit_r(bd: BoundaryData) -> complex:
     """Zero-energy reflection amplitude at a half-bound state.
 
     Valid only for boundary data computed at E = 0 whose derivative vectors at
@@ -404,10 +416,9 @@ def threshold_limit_r(bd: BoundaryData, parity_known: bool = False) -> complex:
     condition.  Generic wells, which do not meet it, have r(0) = -1 and should
     be probed with :func:`reflection_wronskian` at small E instead.
 
-    ``parity_known`` asserts the well is symmetric, for which the limit is 0
-    exactly.  Otherwise the limit is assembled from the re-based combination
-    of u and v that saturates on both sides; for wells where u alone (or v
-    alone) saturates, it reduces to the familiar two-term quotients
+    The limit is assembled from the re-based combination of u and v that
+    saturates on both sides; for wells where u alone (or v alone) saturates,
+    it reduces to the familiar two-term quotients
     (u1 v2' - u2 v1')/(u1 v2' + u2 v1') and its u/v mirror, up to overall sign.
     """
     if abs(bd.E) > 1e-12:
@@ -417,8 +428,6 @@ def threshold_limit_r(bd: BoundaryData, parity_known: bool = False) -> complex:
             "saturation condition not met: no half-bound state at these parameters "
             "(generic wells have r(0) = -1; evaluate reflection_wronskian at small E)"
         )
-    if parity_known:
-        return 0.0 + 0.0j
     num = bd.v2 * bd.u1p + bd.u1 * bd.v2p - bd.u2 * bd.v1p - bd.v1 * bd.u2p
     den = -bd.v2 * bd.u1p + bd.u1 * bd.v2p + bd.u2 * bd.v1p - bd.v1 * bd.u2p
     if abs(den) < 1e-300:

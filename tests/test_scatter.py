@@ -113,6 +113,87 @@ class TestWronskianRoute:
             assert abs(Ra - Rb) < 1e-9
 
 
+class TestStepHalving:
+    def test_refines_to_the_halved_grid(self):
+        # the drift at step 0.1 is ~7e-6, so one halving runs
+        p = _well("ExponentialWell", V0=5.76, a=1.0)
+        bd = sc.integrate_uv(p, 0.3, sc.GridConfig(step=0.1))
+        assert bd == sc.integrate_uv(p, 0.3, sc.GridConfig(step=0.05))
+        assert bd.wronskian_drift <= sc.DRIFT_TOL
+
+    def test_raises_when_halvings_run_out(self):
+        p = _well("SquareWell", V0=400.0, a=1.0)
+        with pytest.raises(sc.IntegrationError):
+            sc.integrate_uv(p, 1.0, sc.GridConfig(step=0.2))
+
+
+def _rk4_reference(gn, gm, h, y, yp):
+    """(psi, psi') at every node: classical RK4 on psi'' = g psi, one scalar step at a time."""
+    out = [(y, yp)]
+    for a, b, c in zip(gn[:-1], gm, gn[1:]):
+        k1y, k1p = yp, a * y
+        k2y, k2p = yp + h / 2 * k1p, b * (y + h / 2 * k1y)
+        k3y, k3p = yp + h / 2 * k2p, b * (y + h / 2 * k2y)
+        k4y, k4p = yp + h * k3p, c * (y + h * k3y)
+        y += h / 6 * (k1y + 2 * k2y + 2 * k3y + k4y)
+        yp += h / 6 * (k1p + 2 * k2p + 2 * k3p + k4p)
+        out.append((y, yp))
+    return np.array(out)
+
+
+def _naive_fold(mats):
+    """M_{N-1} @ ... @ M_0 of an (N, 2, 2) stack, one matmul at a time."""
+    total = np.eye(2)
+    for m in mats:
+        total = m @ total
+    return total
+
+
+class TestRk4Kernel:
+    @pytest.mark.parametrize("chunk", [sc._CHUNK, 7])
+    @pytest.mark.parametrize("n, h", [(16, 0.09), (27, -0.05), (40, 0.03)])
+    def test_matches_scalar_reference(self, monkeypatch, chunk, n, h):
+        monkeypatch.setattr(sc, "_CHUNK", chunk)
+        rng = np.random.default_rng(n)
+        gn, gm = rng.uniform(-20.0, 2.0, n + 1), rng.uniform(-20.0, 2.0, n)
+        P, drift = sc._rk4_product(gn, gm, h)
+        u = _rk4_reference(gn, gm, h, 1.0, 0.0)
+        v = _rk4_reference(gn, gm, h, 0.0, 1.0)
+        np.testing.assert_allclose(P, np.column_stack([u[-1], v[-1]]), rtol=1e-13, atol=1e-13)
+        w = u[:, 0] * v[:, 1] - u[:, 1] * v[:, 0]
+        assert drift > 1e-9
+        assert drift == pytest.approx(np.max(np.abs(w - 1.0)), abs=1e-13)
+
+    @pytest.mark.parametrize("chunk", [sc._CHUNK, 7])
+    def test_batch_axis_matches_scalar_reference(self, monkeypatch, chunk):
+        monkeypatch.setattr(sc, "_CHUNK", chunk)
+        rng = np.random.default_rng(3)
+        n, h = 33, -0.04
+        gn, gm = rng.uniform(-8.0, 0.0, n + 1), rng.uniform(-8.0, 0.0, n)
+        depths = np.array([0.5, 1.0, 2.5])
+        P, _ = sc._rk4_product(gn, gm, h, depths)
+        assert P.shape == (2, 2, 3)
+        for i, d in enumerate(depths):
+            u = _rk4_reference(d * gn, d * gm, h, 1.0, 0.0)[-1]
+            v = _rk4_reference(d * gn, d * gm, h, 0.0, 1.0)[-1]
+            np.testing.assert_allclose(P[..., i], np.column_stack([u, v]), rtol=1e-13, atol=1e-13)
+
+
+class TestOrderedProduct:
+    @pytest.mark.parametrize("batch", [(), (3,)])
+    @pytest.mark.parametrize("n", [1, 2, 7, 8, 13])
+    def test_matches_naive_fold(self, batch, n):
+        stacks = np.random.default_rng(n).standard_normal(batch + (n, 2, 2))
+        mats = np.moveaxis(stacks, (-2, -1), (0, 1))  # (2, 2, *batch, N)
+        total = sc._ordered_product(mats)
+        prefix = sc._prefix_products(mats)
+        assert total.shape == (2, 2) + batch
+        for b in np.ndindex(batch):
+            np.testing.assert_allclose(total[(..., *b)], _naive_fold(stacks[b]), rtol=1e-12, atol=1e-12)
+            for i in range(n):
+                np.testing.assert_allclose(prefix[(..., *b, i)], _naive_fold(stacks[b][: i + 1]), rtol=1e-12, atol=1e-12)
+
+
 class TestTransferRoute:
     def test_square_exact_with_two_slices(self):
         res = sc.transfer_matrix_rt(_well("SquareWell", V0=1.0, a=1.0), 1.0, n_slices=2)
