@@ -21,6 +21,7 @@ input, 3 numerical failure, 4 no root in range.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -92,28 +93,25 @@ def _reflection(p: potentials.Potential, E: float, method: str, cfg: scatter.Gri
     return scatter.reflection_wronskian(bd)
 
 
-# -- worker for scan subcommands (top level so the process pool can pickle it)
+# -- scan workers (top level so the process pool can pickle their partials)
 
 
-def _scan_point(task: tuple) -> float:
-    desc, tail_tol, strength, E, method, step, slices = task
-    if strength is None:
-        p = potentials.from_descriptor(desc, tail_tol=tail_tol)
-    else:
-        fam = potentials.family_from_descriptor(desc, tail_tol=tail_tol)
-        p = fam.at(strength)
-    cfg = scatter.GridConfig(step=step, n_slices=slices, tail_tol=tail_tol)
+def _R_at_strength(family: potentials.PotentialFamily, E: float, method: str, cfg: scatter.GridConfig, q: float) -> float:
+    return _reflection(family.at(float(q)), E, method, cfg).R
+
+
+def _R_at_energy(p: potentials.Potential, method: str, cfg: scatter.GridConfig, E: float) -> float:
     return _reflection(p, E, method, cfg).R
 
 
-def _run_points(tasks: list[tuple], workers: int) -> list[float]:
+def _run_points(fn, xs: list[float], workers: int) -> list[float]:
     if workers == 0:
         workers = os.cpu_count() or 1
-    if workers <= 1 or len(tasks) < 4:
-        return [_scan_point(t) for t in tasks]
+    if workers <= 1 or len(xs) < 4:
+        return [fn(x) for x in xs]
     with ProcessPoolExecutor(max_workers=workers) as pool:
         # pool.map preserves input order, keeping output deterministic
-        return list(pool.map(_scan_point, tasks, chunksize=max(1, len(tasks) // (4 * workers))))
+        return list(pool.map(fn, xs, chunksize=max(1, len(xs) // (4 * workers))))
 
 
 def cmd_reflect(args) -> int:
@@ -165,12 +163,9 @@ def cmd_scan_q(args) -> int:
     if not (args.q_min < args.q_max) or args.points < 2:
         raise potentials.PotentialError("need q-min < q-max and points >= 2")
     qs = np.linspace(args.q_min, args.q_max, args.points)
-    tasks = [
-        (family.descriptor(), args.tail_tol, float(q), args.energy, args.method, args.step, args.slices)
-        for q in qs
-    ]
-    Rs = np.asarray(_run_points(tasks, args.workers))
     cfg = _grid_config(args)
+    evaluator = functools.partial(_R_at_strength, family, args.energy, args.method, cfg)
+    Rs = np.asarray(_run_points(evaluator, qs.tolist(), args.workers))
     meta = {
         "descriptor": family.descriptor(),
         "axis": "q",
@@ -179,10 +174,6 @@ def cmd_scan_q(args) -> int:
         "grid": _grid_metadata(cfg),
     }
     text = _csv_text(meta, ["q", "R"], list(zip(qs, Rs)))
-
-    def evaluator(q: float) -> float:
-        return _scan_point((family.descriptor(), args.tail_tol, float(q), args.energy, args.method, args.step, args.slices))
-
     minima = _minima(qs, Rs, evaluator)
     sidecar = json.dumps(
         {"descriptor": family.descriptor(), "fixed_E": args.energy, "minima": minima},
@@ -207,12 +198,8 @@ def cmd_scan_e(args) -> int:
         Es = np.geomspace(args.e_min, args.e_max, args.points)
     else:
         Es = np.linspace(args.e_min, args.e_max, args.points)
-    tasks = [
-        (p.descriptor(), args.tail_tol, None, float(E), args.method, args.step, args.slices)
-        for E in Es
-    ]
-    Rs = _run_points(tasks, args.workers)
     cfg = _grid_config(args)
+    Rs = _run_points(functools.partial(_R_at_energy, p, args.method, cfg), Es.tolist(), args.workers)
     meta = {
         "descriptor": p.descriptor(),
         "axis": "E",

@@ -91,20 +91,12 @@ def hbs_mismatch(family: PotentialFamily, q: float, cfg: GridConfig | None = Non
 def _mismatch_batch(family: PotentialFamily, qs: np.ndarray, cfg: GridConfig | None) -> np.ndarray:
     """Vectorized hbs_mismatch over many strengths.
 
-    All catalogued shapes scale linearly with depth, V(x; q) = V0(q) s(x), so
-    one sampling of the shape s on the integration grid serves every q in the
-    scan; the strengths form the batch axis of the RK4 step matrices.
+    Every catalogued well is a fixed shape scaled by a depth, V = d(q) s(x), so
+    the well sampled once at q_0 serves every q in the scan, scaled by the
+    depth ratio d(q)/d(q_0); the strengths form the batch axis of the RK4 steps.
     """
     probe = family.at(float(qs[0]))
-    if probe.kind == "SolitonWell":
-        nu0 = probe.params["nu"]
-        v0_probe = nu0 * (nu0 - 1.0)
-        depths = np.array([n * (n - 1.0) for n in qs])
-    else:
-        a = float(probe.params.get("a", 1.0))
-        v0_probe = probe.params["V0"]
-        depths = (np.asarray(qs) / a) ** 2
-    scale = depths / v0_probe
+    scale = family.depths(qs) / potentials.depth(probe.params)
 
     total = np.eye(2)[..., None]
     for _, vn, vm, h in scatter._traverse(probe, cfg or GridConfig()):
@@ -178,14 +170,14 @@ def critical_spectrum(
 ) -> list[HbsResult]:
     """All critical strengths up to q_max, by 0.02-step scan plus polish.
 
-    For SolitonWell families the knob is nu and the scan starts just above
-    nu = 1 (zero depth); elsewhere it starts one step above zero.  Node counts
-    along the returned list increase by exactly one per entry.
+    The scan starts one step above the family's floor, its strength of zero
+    depth (q = 0, or nu = 1 for the sech^2 well).  Node counts along the
+    returned list increase by exactly one per entry.
     """
     if q_max > 30.0:
         raise ValueError(f"q_max must be <= 30, got {q_max}")
     if q_min is None:
-        q_min = 1.0 + SCAN_STEP if family.kind == "SolitonWell" else SCAN_STEP
+        q_min = family.floor + SCAN_STEP
     if not (q_min < q_max):
         raise ValueError(f"need q_min < q_max, got {q_min} >= {q_max}")
     n = int(math.ceil((q_max - q_min) / SCAN_STEP)) + 1

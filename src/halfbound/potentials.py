@@ -1,9 +1,11 @@
 """Catalog of attractive one-dimensional potential wells.
 
-Every well is an immutable value object carrying its evaluation rule, finite
-support bounds, symmetry flag, and effective strength q = a*sqrt(V0) in units
+Every well is a fixed shape scaled by a depth, V(x) = d * s(x), in units
 2*mu = hbar^2 = 1 (so lengths and inverse-square-root energies share one unit
-system and no conversion layer exists anywhere in the package).
+system).  One table holds every per-kind fact: parameter names, the rule
+V(x, d, params) and the support edges.  Parameters are validated by name, d
+comes from :func:`depth`, q = a*sqrt(d) (a = 1 when absent), and a well is
+symmetric when a == b and alpha == 0.
 
 Shapes
 ------
@@ -26,7 +28,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Callable, Mapping, NamedTuple
 
 import numpy as np
 
@@ -37,6 +39,7 @@ __all__ = [
     "Potential",
     "PotentialError",
     "PotentialFamily",
+    "depth",
     "evaluate",
     "family_from_descriptor",
     "from_descriptor",
@@ -47,26 +50,6 @@ __all__ = [
 
 DEFAULT_TAIL_TOL = 1e-12
 
-KINDS = (
-    "SquareWell",
-    "ExponentialWell",
-    "SolitonWell",
-    "ParabolicWell",
-    "SquareTriangular",
-    "Sin2Multiwell",
-    "DeltaWell",
-)
-
-_REQUIRED = {
-    "SquareWell": ("V0", "a"),
-    "ExponentialWell": ("V0", "a"),
-    "SolitonWell": ("nu",),
-    "ParabolicWell": ("V0", "a", "b"),
-    "SquareTriangular": ("V0", "a", "alpha"),
-    "Sin2Multiwell": ("V0", "a", "m"),
-    "DeltaWell": ("lambda",),
-}
-
 
 class PotentialError(ValueError):
     """Invalid potential kind or parameters."""
@@ -74,6 +57,91 @@ class PotentialError(ValueError):
 
 class AnalyticOnlyError(PotentialError):
     """The potential has no pointwise value (distributional profile)."""
+
+
+class _Kind(NamedTuple):
+    """Parameter names (depth parameter first), rule V(x, d, params) at depth d
+    (None: no pointwise value), and support edges (params, tail_tol) -> (-L2, L1)."""
+
+    params: tuple[str, ...]
+    shape: Callable | None
+    edges: Callable
+
+
+def _compact(prm, tail_tol):
+    return (-prm["a"], prm.get("b", prm["a"]))
+
+
+def _pm(half):
+    return (-half, half)
+
+
+def _parabolic(x, d, prm):
+    a, b = prm["a"], prm["b"]
+    left = np.where((x > -a) & (x < 0.0), -d * (1.0 - x**2 / a**2), 0.0)
+    right = np.where((x >= 0.0) & (x < b), -d * (1.0 - x**2 / b**2), 0.0)
+    return left + right
+
+
+def _square_triangular(x, d, prm):
+    a = prm["a"]
+    return np.where(np.abs(x) <= a, -d * (1.0 + prm["alpha"] * (x - a) / (2.0 * a)), 0.0)
+
+
+def _sin2(x, d, prm):
+    a = prm["a"]
+    return np.where(np.abs(x) < a, -d * np.sin(prm["m"] * math.pi * x / a) ** 2, 0.0)
+
+
+_TABLE = {
+    "SquareWell": _Kind(("V0", "a"), lambda x, d, prm: np.where(np.abs(x) < prm["a"], -d, 0.0), _compact),
+    "ExponentialWell": _Kind(
+        ("V0", "a"),
+        lambda x, d, prm: -d * np.exp(-2.0 * np.abs(x) / prm["a"]),
+        lambda prm, tol: _pm(0.5 * prm["a"] * math.log(1.0 / tol)),
+    ),
+    "SolitonWell": _Kind(
+        ("nu",),
+        lambda x, d, prm: -d / np.cosh(x) ** 2,
+        lambda prm, tol: _pm(math.acosh(1.0 / math.sqrt(tol))),
+    ),
+    "ParabolicWell": _Kind(("V0", "a", "b"), _parabolic, _compact),
+    "SquareTriangular": _Kind(("V0", "a", "alpha"), _square_triangular, _compact),
+    "Sin2Multiwell": _Kind(("V0", "a", "m"), _sin2, _compact),
+    "DeltaWell": _Kind(("lambda",), None, lambda prm, tol: (0.0, 0.0)),
+}
+
+KINDS = tuple(_TABLE)
+
+_POSITIVE = (float, lambda v: math.isfinite(v) and v > 0.0, "must be positive")
+
+#: Validity of each parameter by name: (conversion, test, requirement).
+_VALID = {
+    **dict.fromkeys(("V0", "a", "b", "lambda"), _POSITIVE),
+    "nu": (float, lambda v: math.isfinite(v) and v > 1.0, "must exceed 1"),
+    "alpha": (float, lambda v: 0.0 <= v <= 1.0, "must lie in [0, 1]"),
+    "m": (lambda m: int(m) if m in (1, 2) else m, lambda m: m in (1, 2), "must be 1 or 2"),
+}
+
+#: Depth d of each depth parameter's value.
+_DEPTH = {"V0": lambda v0: v0, "nu": lambda nu: nu * (nu - 1.0), "lambda": lambda lam: lam}
+
+#: Family knobs: (strength name, its floor, knob value at strength s and length a).
+_KNOBS = {"V0": ("q", 0.0, lambda s, a: (s / a) ** 2), "nu": ("nu", 1.0, lambda s, a: s)}
+
+
+def _spec(kind: str) -> _Kind:
+    if kind not in KINDS:
+        raise PotentialError(f"unknown potential kind {kind!r}; known kinds: {', '.join(KINDS)}")
+    return _TABLE[kind]
+
+
+def depth(params: Mapping[str, float]):
+    """Depth d = V0, nu(nu - 1) for the sech^2 well, or lambda (elementwise on arrays)."""
+    for name, rule in _DEPTH.items():
+        if name in params:
+            return rule(params[name])
+    raise PotentialError(f"no depth parameter ({', '.join(_DEPTH)}) among {sorted(params)}")
 
 
 @dataclass(frozen=True)
@@ -91,18 +159,9 @@ class Potential:
         return {"kind": self.kind, "params": dict(self.params)}
 
 
-def _positive(params: Mapping[str, float], name: str) -> float:
-    v = float(params[name])
-    if not math.isfinite(v) or v <= 0.0:
-        raise PotentialError(f"parameter {name!r} must be positive, got {v}")
-    return v
-
-
 def make_potential(kind: str, params: Mapping[str, float], tail_tol: float = DEFAULT_TAIL_TOL) -> Potential:
     """Build a catalogued well, validating parameters for the kind."""
-    if kind not in KINDS:
-        raise PotentialError(f"unknown potential kind {kind!r}; known kinds: {', '.join(KINDS)}")
-    required = _REQUIRED[kind]
+    required = _spec(kind).params
     missing = [name for name in required if name not in params]
     if missing:
         raise PotentialError(f"{kind} requires parameters {required}; missing {missing}")
@@ -111,69 +170,24 @@ def make_potential(kind: str, params: Mapping[str, float], tail_tol: float = DEF
         raise PotentialError(f"{kind} accepts parameters {required}; unexpected {extra}")
     if not (0.0 < tail_tol < 1.0):
         raise PotentialError(f"tail_tol must lie in (0, 1), got {tail_tol}")
-
-    clean: dict[str, float] = {}
-    if kind == "SolitonWell":
-        nu = float(params["nu"])
-        if not math.isfinite(nu) or nu <= 1.0:
-            raise PotentialError(f"parameter 'nu' must exceed 1, got {nu}")
-        clean["nu"] = nu
-        q = math.sqrt(nu * (nu - 1.0))
-        symmetric = True
-    elif kind == "DeltaWell":
-        lam = _positive(params, "lambda")
-        clean["lambda"] = lam
-        q = lam
-        symmetric = True
-    else:
-        v0 = _positive(params, "V0")
-        a = _positive(params, "a")
-        clean["V0"] = v0
-        clean["a"] = a
-        q = a * math.sqrt(v0)
-        symmetric = True
-        if kind == "ParabolicWell":
-            b = _positive(params, "b")
-            clean["b"] = b
-            symmetric = a == b
-        elif kind == "SquareTriangular":
-            alpha = float(params["alpha"])
-            if not (0.0 <= alpha <= 1.0):
-                raise PotentialError(f"parameter 'alpha' must lie in [0, 1], got {alpha}")
-            clean["alpha"] = alpha
-            symmetric = alpha == 0.0
-        elif kind == "Sin2Multiwell":
-            m = params["m"]
-            if m not in (1, 2):
-                raise PotentialError(f"parameter 'm' must be 1 or 2, got {m}")
-            clean["m"] = int(m)
-
-    support = _support(kind, clean, tail_tol)
-    # params is a plain dict so Potential stays picklable for scan workers;
-    # treat it as read-only.
-    return Potential(kind=kind, params=clean, support=support, symmetric=symmetric, q=q)
-
-
-def _support(kind: str, params: Mapping[str, float], tail_tol: float) -> tuple[float, float]:
-    if kind in ("SquareWell", "SquareTriangular", "Sin2Multiwell"):
-        a = params["a"]
-        return (-a, a)
-    if kind == "ParabolicWell":
-        return (-params["a"], params["b"])
-    if kind == "ExponentialWell":
-        half = 0.5 * params["a"] * math.log(1.0 / tail_tol)
-        return (-half, half)
-    if kind == "SolitonWell":
-        half = math.acosh(1.0 / math.sqrt(tail_tol))
-        return (-half, half)
-    return (0.0, 0.0)  # DeltaWell
+    # a plain dict so Potential stays picklable for scan workers; treat it as read-only
+    clean = {}
+    for name in required:
+        convert, ok, requirement = _VALID[name]
+        clean[name] = v = convert(params[name])
+        if not ok(v):
+            raise PotentialError(f"parameter {name!r} {requirement}, got {v}")
+    a = clean.get("a", 1.0)
+    q = clean["lambda"] if "lambda" in clean else a * math.sqrt(depth(clean))
+    symmetric = clean.get("b", a) == a and clean.get("alpha", 0.0) == 0.0
+    return Potential(kind=kind, params=clean, support=_TABLE[kind].edges(clean, tail_tol), symmetric=symmetric, q=q)
 
 
 def support_bounds(p: Potential, tail_tol: float = DEFAULT_TAIL_TOL) -> tuple[float, float]:
     """Support edges (-L2, L1) outside which |V| <= tail_tol * V0."""
     if not (0.0 < tail_tol < 1.0):
         raise PotentialError(f"tail_tol must lie in (0, 1), got {tail_tol}")
-    return _support(p.kind, p.params, tail_tol)
+    return _TABLE[p.kind].edges(p.params, tail_tol)
 
 
 def evaluate(p: Potential, x):
@@ -182,31 +196,12 @@ def evaluate(p: Potential, x):
     Finite-support kinds return exactly 0 outside (and, for the open-interval
     kinds, at) their edges.  DeltaWell has no pointwise value.
     """
-    if p.kind == "DeltaWell":
-        raise AnalyticOnlyError("DeltaWell is analytic-only: it has no pointwise value")
+    shape = _TABLE[p.kind].shape
+    if shape is None:
+        raise AnalyticOnlyError(f"{p.kind} is analytic-only: it has no pointwise value")
     xa = np.asarray(x, dtype=float)
-    prm = p.params
-    if p.kind == "SquareWell":
-        out = np.where(np.abs(xa) < prm["a"], -prm["V0"], 0.0)
-    elif p.kind == "ExponentialWell":
-        out = -prm["V0"] * np.exp(-2.0 * np.abs(xa) / prm["a"])
-    elif p.kind == "SolitonWell":
-        nu = prm["nu"]
-        out = -nu * (nu - 1.0) / np.cosh(xa) ** 2
-    elif p.kind == "ParabolicWell":
-        a, b, v0 = prm["a"], prm["b"], prm["V0"]
-        left = np.where((xa > -a) & (xa < 0.0), -v0 * (1.0 - xa**2 / a**2), 0.0)
-        right = np.where((xa >= 0.0) & (xa < b), -v0 * (1.0 - xa**2 / b**2), 0.0)
-        out = left + right
-    elif p.kind == "SquareTriangular":
-        a, v0, alpha = prm["a"], prm["V0"], prm["alpha"]
-        out = np.where(np.abs(xa) <= a, -v0 * (1.0 + alpha * (xa - a) / (2.0 * a)), 0.0)
-    else:  # Sin2Multiwell
-        a, v0, m = prm["a"], prm["V0"], prm["m"]
-        out = np.where(np.abs(xa) < a, -v0 * np.sin(m * math.pi * xa / a) ** 2, 0.0)
-    if np.isscalar(x) or xa.ndim == 0:
-        return float(out)
-    return out
+    out = shape(xa, depth(p.params), p.params)
+    return float(out) if xa.ndim == 0 else out
 
 
 def _parse_descriptor(desc) -> tuple[str, Mapping[str, float]]:
@@ -231,23 +226,40 @@ def from_descriptor(desc, tail_tol: float = DEFAULT_TAIL_TOL) -> Potential:
 class PotentialFamily:
     """A catalogued shape with every parameter fixed except the strength knob.
 
-    The knob is q = a*sqrt(V0) for all kinds except SolitonWell, whose natural
-    knob is nu (its depth nu(nu-1) is not an independent parameter).  The
-    length parameter a defaults to 1 when not fixed explicitly.
+    The knob is V0, set through the strength q = a*sqrt(V0), for all kinds
+    except SolitonWell, whose knob is nu itself (its depth nu(nu-1) is not an
+    independent parameter).  The length parameter a defaults to 1 when not
+    fixed explicitly.  Strengths must exceed the floor, the strength of zero
+    depth (0 for q, 1 for nu).
     """
 
     kind: str
     fixed: Mapping[str, float] = field(default_factory=dict)
     tail_tol: float = DEFAULT_TAIL_TOL
 
+    @property
+    def knob(self) -> str:
+        return _spec(self.kind).params[0]
+
+    @property
+    def floor(self) -> float:
+        return _KNOBS[self.knob][1]
+
+    def depths(self, strengths) -> np.ndarray:
+        """Depths d of the member wells at an array of strengths."""
+        knob = self.knob
+        return depth({knob: _KNOBS[knob][2](np.asarray(strengths, dtype=float), self.fixed.get("a", 1.0))})
+
     def at(self, strength: float) -> Potential:
         """The member well with the given strength (q, or nu for SolitonWell)."""
-        if self.kind == "SolitonWell":
-            return make_potential("SolitonWell", {"nu": strength}, tail_tol=self.tail_tol)
+        required = _spec(self.kind).params
+        name, floor, to_knob = _KNOBS[required[0]]
+        if not strength > floor:
+            raise PotentialError(f"parameter {name!r} must exceed {floor:g}, got {float(strength)}")
         params = dict(self.fixed)
-        a = params.get("a", 1.0)
-        params["a"] = a
-        params["V0"] = (strength / a) ** 2
+        if "a" in required:
+            params.setdefault("a", 1.0)
+        params[required[0]] = to_knob(strength, params.get("a", 1.0))
         return make_potential(self.kind, params, tail_tol=self.tail_tol)
 
     def descriptor(self) -> dict:
@@ -256,18 +268,19 @@ class PotentialFamily:
 
 def make_family(kind: str, tail_tol: float = DEFAULT_TAIL_TOL, **fixed: float) -> PotentialFamily:
     """Family with free strength; fixed holds the kind's other parameters."""
-    if kind not in KINDS:
-        raise PotentialError(f"unknown potential kind {kind!r}; known kinds: {', '.join(KINDS)}")
-    if kind == "DeltaWell":
-        raise PotentialError("DeltaWell has no strength-scan family")
-    probe = 1.5 if kind != "SolitonWell" else 2.5
+    knob = _spec(kind).params[0]
+    if knob not in _KNOBS:
+        raise PotentialError(f"{kind} has no strength-scan family")
+    if knob in fixed:
+        raise PotentialError(f"{kind} family sets {knob!r} from its strength; it cannot be fixed")
     family = PotentialFamily(kind=kind, fixed=dict(fixed), tail_tol=tail_tol)
-    family.at(probe)  # validate the fixed parameters eagerly
+    family.at(family.floor + 1.5)  # validate the fixed parameters eagerly
     return family
 
 
 def family_from_descriptor(desc, tail_tol: float = DEFAULT_TAIL_TOL) -> PotentialFamily:
-    """Family from a descriptor whose params omit the strength (V0 or nu)."""
+    """Family from a descriptor whose params omit the strength knob (V0 or nu)."""
     kind, params = _parse_descriptor(desc)
-    fixed = {k: v for k, v in params.items() if k not in ("V0", "nu")}
+    knob = _spec(kind).params[0]
+    fixed = {k: v for k, v in params.items() if k != knob}
     return make_family(kind, tail_tol=tail_tol, **fixed)

@@ -143,6 +143,14 @@ def default_step(p: Potential) -> float:
     return min(a, 1.0) / 2000.0
 
 
+def _step(p: Potential, cfg: GridConfig) -> float:
+    """The Runge-Kutta step of a grid: ``cfg.step``, or the well's default."""
+    h = cfg.step if cfg.step is not None else default_step(p)
+    if not h > 0.0:
+        raise ValueError(f"step must be positive, got {h}")
+    return h
+
+
 def _grid_samples(p: Potential, x0: float, x1: float, n: int) -> tuple[np.ndarray, np.ndarray, float]:
     """Potential at nodes/midpoints of an n-step grid x0 -> x1.
 
@@ -168,7 +176,7 @@ def _traverse(p: Potential, cfg: GridConfig):
     Yields (x0, V_nodes, V_midpoints, h) for the segments -L2 -> 0 and 0 -> L1.
     """
     lo, hi = potentials.support_bounds(p, cfg.tail_tol)
-    h_target = cfg.step if cfg.step is not None else default_step(p)
+    h_target = _step(p, cfg)
     for x0, x1 in ((lo, 0.0), (0.0, hi)):
         n = max(int(math.ceil((x1 - x0) / h_target)), 16)
         yield (x0, *_grid_samples(p, x0, x1, n))
@@ -272,9 +280,7 @@ def integrate_uv(p: Potential, E: float, cfg: GridConfig | None = None) -> Bound
     lo, hi = potentials.support_bounds(p, cfg.tail_tol)
     if hi <= 0.0 or lo >= 0.0:
         raise ValueError(f"degenerate support {p.support} (origin must be interior)")
-    h = cfg.step if cfg.step is not None else default_step(p)
-    if h <= 0.0:
-        raise ValueError(f"step must be positive, got {h}")
+    h = _step(p, cfg)
     for _ in range(_MAX_HALVINGS + 1):
         right, d1 = _side(p, E, hi, h)
         left, d2 = _side(p, E, lo, h)

@@ -130,6 +130,17 @@ class TestScanE:
         assert Rs[0] < 1e-3
 
 
+    def test_deterministic_across_workers(self, tmp_path):
+        desc = json.dumps({"kind": "SquareWell", "params": {"V0": 2.0, "a": 1.0}})
+        outs = []
+        for workers in ("1", "2"):
+            f = tmp_path / f"scan-{workers}.csv"
+            argv = ["scan-e", "--potential", desc, "--e-min", "1e-4", "--e-max", "1", "--points", "6", "--log"]
+            assert run(argv + ["--workers", workers, "--out", str(f)]) == 0
+            outs.append(f.read_bytes())
+        assert outs[0] == outs[1]
+
+
 class TestFindQc:
     def test_json_result(self, capsys):
         assert run(["find-qc", "--potential", EXP_FAMILY, "--bracket", "2.2", "2.6"]) == 0
@@ -214,6 +225,22 @@ class TestExitCodes:
     def test_delta_numeric_is_input_error(self, capsys):
         desc = '{"kind":"DeltaWell","params":{"lambda":1.0}}'
         assert run(["reflect", "--potential", desc, "--energy", "1"]) == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            # a non-positive step on the shooting path
+            ["find-qc", "--potential", SQUARE_FAMILY, "--bracket", "1.4", "1.8", "--step", "0"],
+            ["find-qc", "--potential", SQUARE_FAMILY, "--bracket", "1.4", "1.8", "--step", "-0.01"],
+            # strengths below the family's floor
+            ["scan-q", "--potential", SQUARE_FAMILY, "--energy", "0.01", "--q-min", "-2", "--q-max", "-1",
+             "--points", "5"],
+            # a strength knob the kind does not take
+            ["find-qc", "--potential", '{"kind":"SquareWell","params":{"a":1,"nu":7}}', "--bracket", "1.4", "1.8"],
+        ],
+    )
+    def test_invalid_input_is_exit_two(self, capsys, argv):
+        assert run(argv) == 2
 
     def test_no_root_is_exit_four(self, capsys):
         assert run(["find-qc", "--potential", SQUARE_FAMILY, "--bracket", "1.7", "2.0"]) == 4

@@ -2,6 +2,7 @@
 
 import json
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -169,6 +170,67 @@ class TestDescriptors:
     def test_family_from_descriptor_strips_strength(self):
         fam = pot.family_from_descriptor({"kind": "SquareWell", "params": {"V0": 9.0, "a": 1.0}})
         assert fam.at(1.0).params["V0"] == pytest.approx(1.0)
+
+    def test_family_from_descriptor_keeps_foreign_knob(self):
+        # nu is not the square well's knob: it is an unknown parameter, not a strength to strip
+        with pytest.raises(pot.PotentialError):
+            pot.family_from_descriptor({"kind": "SquareWell", "params": {"a": 1.0, "nu": 7.0}})
+
+    def test_family_rejects_fixed_knob(self):
+        with pytest.raises(pot.PotentialError):
+            pot.make_family("SquareWell", V0=9.0)
+        with pytest.raises(pot.PotentialError):
+            pot.make_family("SolitonWell", nu=2.5)
+
+    @pytest.mark.parametrize("kind, strength", [("SquareWell", -2.0), ("SquareWell", 0.0), ("SolitonWell", 1.0)])
+    def test_family_rejects_strength_at_or_below_floor(self, kind, strength):
+        with pytest.raises(pot.PotentialError):
+            pot.make_family(kind).at(strength)
+
+    def test_family_knob_and_floor(self):
+        assert (pot.make_family("ExponentialWell").knob, pot.make_family("ExponentialWell").floor) == ("V0", 0.0)
+        assert (pot.make_family("SolitonWell").knob, pot.make_family("SolitonWell").floor) == ("nu", 1.0)
+
+
+#: One family per pointwise kind, with two member strengths.
+FAMILIES = [
+    ("SquareWell", {"a": 0.8}, 1.3, 2.9),
+    ("ExponentialWell", {"a": 1.2}, 2.4, 3.7),
+    ("SolitonWell", {}, 1.7, 3.2),
+    ("ParabolicWell", {"a": 1.0, "b": 1.1}, 2.1, 4.4),
+    ("SquareTriangular", {"a": 1.0, "alpha": 0.5}, 1.8, 3.3),
+    ("Sin2Multiwell", {"a": 1.0, "m": 2}, 2.2, 5.1),
+]
+
+
+@pytest.mark.parametrize("kind, fixed, s1, s2", FAMILIES)
+def test_family_members_differ_by_depth_ratio(kind, fixed, s1, s2):
+    # V = d(s) * shape(x): the batched critical scan rescales one sampling by d(s2)/d(s1)
+    fam = pot.make_family(kind, **fixed)
+    p1, p2 = fam.at(s1), fam.at(s2)
+    assert fam.depths([s1, s2]).tolist() == [pot.depth(p1.params), pot.depth(p2.params)]
+    ratio = pot.depth(p2.params) / pot.depth(p1.params)
+    lo, hi = p1.support
+    xs = np.linspace(lo, hi, 1001)[1:-1]
+    np.testing.assert_allclose(pot.evaluate(p2, xs), ratio * pot.evaluate(p1, xs), rtol=1e-15, atol=0)
+
+
+def test_depth_by_parameter():
+    assert pot.depth({"V0": 4.0, "a": 2.0}) == 4.0
+    assert pot.depth({"nu": 3.0}) == 6.0
+    assert pot.depth({"lambda": 0.5}) == 0.5
+
+
+@pytest.mark.parametrize("kind, fixed, s1, s2", FAMILIES)
+def test_pickle_roundtrip(kind, fixed, s1, s2):
+    fam = pot.make_family(kind, **fixed)
+    for obj in (fam, fam.at(s1)):
+        assert pickle.loads(pickle.dumps(obj)) == obj
+
+
+def test_pickle_roundtrip_delta():
+    p = pot.make_potential("DeltaWell", {"lambda": 1.5})
+    assert pickle.loads(pickle.dumps(p)) == p
 
 
 @settings(max_examples=60, deadline=None)

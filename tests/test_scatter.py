@@ -268,6 +268,12 @@ class TestShootAndNodes:
         assert np.min(np.abs(xs)) == 0.0
         assert xs.shape == psi.shape == dpsi.shape
 
+    @pytest.mark.parametrize("step", [0.0, -0.01])
+    def test_shoot_rejects_nonpositive_step(self, step):
+        p = _well("SquareWell", V0=2.0, a=1.0)
+        with pytest.raises(ValueError):
+            sc.shoot(p, 0.0, cfg=sc.GridConfig(step=step))
+
     def test_count_nodes_tanh(self):
         xs = np.linspace(-8, 8, 1601)
         assert sc.count_nodes(np.column_stack([xs, np.tanh(xs)])) == 1
