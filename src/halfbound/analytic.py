@@ -20,9 +20,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from . import specfun
+from ._brent import brentq
 
 __all__ = [
     "BoundSpectrum",

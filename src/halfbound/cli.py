@@ -28,9 +28,9 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from . import analytic, critical, potentials, scatter, specfun
+from ._brent import minimize_scalar
 
 __all__ = ["main"]
 
@@ -140,10 +140,7 @@ def _minima(qs: np.ndarray, Rs: np.ndarray, evaluator) -> list[dict]:
     out = []
     for i in range(1, len(qs) - 1):
         if Rs[i] < Rs[i - 1] and Rs[i] < Rs[i + 1]:
-            res = minimize_scalar(
-                evaluator, bounds=(float(qs[i - 1]), float(qs[i + 1])), method="bounded",
-                options={"xatol": 1e-10},
-            )
+            res = minimize_scalar(evaluator, float(qs[i - 1]), float(qs[i + 1]), xatol=1e-10)
             out.append(
                 {
                     "grid_q": float(qs[i]),

@@ -27,9 +27,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from . import potentials, scatter
+from ._brent import brentq
 from .potentials import PotentialFamily
 from .scatter import GridConfig
 

@@ -31,7 +31,8 @@ import cmath
 import math
 
 import numpy as np
-from scipy.optimize import brentq
+
+from ._brent import brentq
 
 __all__ = [
     "ConvergenceError",

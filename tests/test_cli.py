@@ -1,11 +1,15 @@
 """Command-line behavior: formats, determinism, exit codes, sidecars."""
 
+import functools
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
-from halfbound import cli
+from halfbound import cli, critical
 
 SQUARE = '{"kind":"SquareWell","params":{"V0":1.0,"a":1.0}}'
 SQUARE_FAMILY = '{"kind":"SquareWell","params":{"a":1.0}}'
@@ -14,6 +18,19 @@ EXP_FAMILY = '{"kind":"ExponentialWell","params":{"a":1.0}}'
 
 def run(args):
     return cli.main(args)
+
+
+#: The directory that holds the ``halfbound`` package under test.
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+
+
+def run_python(code, *args, cwd):
+    """A fresh interpreter running ``code`` with ``args``, importing halfbound from SRC."""
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-c", code, *args],
+        cwd=cwd, env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True, timeout=120,
+    )
 
 
 class TestReflect:
@@ -244,3 +261,57 @@ class TestExitCodes:
 
     def test_no_root_is_exit_four(self, capsys):
         assert run(["find-qc", "--potential", SQUARE_FAMILY, "--bracket", "1.7", "2.0"]) == 4
+
+    def test_unconverged_root_is_exit_three(self, monkeypatch, capsys):
+        monkeypatch.setattr(critical, "brentq", functools.partial(critical.brentq, maxiter=3))
+        assert run(["find-qc", "--potential", SQUARE_FAMILY, "--bracket", "1.4", "1.8"]) == 3
+        assert "not converged" in capsys.readouterr().err
+
+    def test_unconverged_minimum_is_exit_three(self, monkeypatch, tmp_path, capsys):
+        monkeypatch.setattr(cli, "minimize_scalar", functools.partial(cli.minimize_scalar, maxfun=3))
+        argv = ["scan-q", "--potential", SQUARE_FAMILY, "--energy", "0.01", "--q-min", "1.4", "--q-max", "1.8",
+                "--points", "21", "--out", str(tmp_path / "scan.csv")]
+        assert run(argv) == 3
+        assert "not converged" in capsys.readouterr().err
+        assert not (tmp_path / "scan.csv.minima.json").exists()
+
+
+#: Runs ``python -m halfbound.cli`` with every ``scipy`` import made to fail.
+NO_SCIPY_CLI = """
+import runpy
+import sys
+
+
+class BlockScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name.split(".")[0] == "scipy":
+            raise ImportError(f"{name} is not a runtime dependency")
+
+
+sys.meta_path.insert(0, BlockScipy())
+runpy.run_module("halfbound.cli", run_name="__main__", alter_sys=True)
+"""
+
+
+class TestNumpyOnlyRuntime:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["table1"],
+            ["find-qc", "--potential", SQUARE_FAMILY, "--bracket", "1.4", "1.8"],
+            ["scan-q", "--potential", SQUARE_FAMILY, "--energy", "0.01", "--q-min", "1.4", "--q-max", "1.8",
+             "--points", "20", "--out", "scan.csv"],
+        ],
+    )
+    def test_cli_runs_without_scipy(self, tmp_path, argv):
+        res = run_python(NO_SCIPY_CLI, *argv, cwd=tmp_path)
+        assert res.returncode == 0, res.stderr
+        if argv[0] == "scan-q":
+            side = json.loads((tmp_path / "scan.csv.minima.json").read_text(encoding="utf-8"))
+            assert len(side["minima"]) == 1
+
+    def test_import_loads_no_scipy(self, tmp_path):
+        code = "import sys, halfbound.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        res = run_python(code, cwd=tmp_path)
+        assert res.returncode == 0, res.stderr
+        assert res.stdout.strip() == "[]"
