@@ -56,6 +56,7 @@ from .scatter import (
     reflection_wronskian,
     shoot,
     threshold_limit_r,
+    transfer_matrix_batch,
     transfer_matrix_rt,
 )
 from .specfun import bessel_j, bessel_j_prime, bessel_y01, bessel_zero, gamma_complex
@@ -101,5 +102,6 @@ __all__ = [
     "square_well_hbs",
     "support_bounds",
     "threshold_limit_r",
+    "transfer_matrix_batch",
     "transfer_matrix_rt",
 ]

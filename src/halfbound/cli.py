@@ -96,22 +96,33 @@ def _reflection(p: potentials.Potential, E: float, method: str, cfg: scatter.Gri
 # -- scan workers (top level so the process pool can pickle their partials)
 
 
+def _R_at_strengths(family: potentials.PotentialFamily, E: float, method: str, cfg: scatter.GridConfig, qs: list[float]) -> list[float]:
+    """R over a list of strengths; the transfer route reduces them in one batch."""
+    wells = [family.at(float(q)) for q in qs]
+    if method == "transfer":
+        return [res.R for res in scatter.transfer_matrix_batch(wells, E, cfg=cfg)]
+    return [_reflection(p, E, method, cfg).R for p in wells]
+
+
 def _R_at_strength(family: potentials.PotentialFamily, E: float, method: str, cfg: scatter.GridConfig, q: float) -> float:
     return _reflection(family.at(float(q)), E, method, cfg).R
 
 
-def _R_at_energy(p: potentials.Potential, method: str, cfg: scatter.GridConfig, E: float) -> float:
-    return _reflection(p, E, method, cfg).R
+def _R_at_energies(p: potentials.Potential, method: str, cfg: scatter.GridConfig, Es: list[float]) -> list[float]:
+    return [_reflection(p, E, method, cfg).R for E in Es]
 
 
 def _run_points(fn, xs: list[float], workers: int) -> list[float]:
+    """fn(xs), or fn mapped over one contiguous chunk of xs per worker process."""
     if workers == 0:
         workers = os.cpu_count() or 1
     if workers <= 1 or len(xs) < 4:
-        return [fn(x) for x in xs]
+        return fn(xs)
+    parts = min(workers, len(xs))
+    chunks = [xs[len(xs) * i // parts:len(xs) * (i + 1) // parts] for i in range(parts)]
     with ProcessPoolExecutor(max_workers=workers) as pool:
         # pool.map preserves input order, keeping output deterministic
-        return list(pool.map(fn, xs, chunksize=max(1, len(xs) // (4 * workers))))
+        return [R for chunk in pool.map(fn, chunks) for R in chunk]
 
 
 def cmd_reflect(args) -> int:
@@ -161,8 +172,8 @@ def cmd_scan_q(args) -> int:
         raise potentials.PotentialError("need q-min < q-max and points >= 2")
     qs = np.linspace(args.q_min, args.q_max, args.points)
     cfg = _grid_config(args)
-    evaluator = functools.partial(_R_at_strength, family, args.energy, args.method, cfg)
-    Rs = np.asarray(_run_points(evaluator, qs.tolist(), args.workers))
+    scan = functools.partial(_R_at_strengths, family, args.energy, args.method, cfg)
+    Rs = np.asarray(_run_points(scan, qs.tolist(), args.workers))
     meta = {
         "descriptor": family.descriptor(),
         "axis": "q",
@@ -171,7 +182,7 @@ def cmd_scan_q(args) -> int:
         "grid": _grid_metadata(cfg),
     }
     text = _csv_text(meta, ["q", "R"], list(zip(qs, Rs)))
-    minima = _minima(qs, Rs, evaluator)
+    minima = _minima(qs, Rs, functools.partial(_R_at_strength, family, args.energy, args.method, cfg))
     sidecar = json.dumps(
         {"descriptor": family.descriptor(), "fixed_E": args.energy, "minima": minima},
         sort_keys=True,
@@ -196,7 +207,7 @@ def cmd_scan_e(args) -> int:
     else:
         Es = np.linspace(args.e_min, args.e_max, args.points)
     cfg = _grid_config(args)
-    Rs = _run_points(functools.partial(_R_at_energy, p, args.method, cfg), Es.tolist(), args.workers)
+    Rs = _run_points(functools.partial(_R_at_energies, p, args.method, cfg), Es.tolist(), args.workers)
     meta = {
         "descriptor": p.descriptor(),
         "axis": "E",
@@ -323,7 +334,8 @@ def _build_parser() -> argparse.ArgumentParser:
         )
         sp.add_argument("--method", choices=("wronskian", "transfer"), default="wronskian")
         sp.add_argument("--step", type=float, default=None, help="Runge-Kutta step (default min(a,1)/2000)")
-        sp.add_argument("--slices", type=int, default=4000, help="transfer-matrix slice count")
+        sp.add_argument("--slices", type=int, default=scatter.GridConfig.n_slices,
+                        help="transfer-matrix slices, one fourth-order Magnus step each (default %(default)s)")
         sp.add_argument("--tail-tol", type=float, default=potentials.DEFAULT_TAIL_TOL)
         sp.add_argument("--out", default=None, help="output file (default stdout)")
         sp.add_argument("--workers", type=int, default=1, help="scan worker processes (0 = all cores)")

@@ -9,10 +9,12 @@ outward to both support edges, assembles the reflection amplitude from their
 boundary values, and provides an independent transfer-matrix route that yields
 both r and t.  The equation is linear, so one RK4 step is an exact 2x2 matrix
 on (psi, psi'); every RK4 integration here is the ordered product of those
-step matrices.  The two routes share only that product (a plain 2x2 reduction,
-tested on its own) and potential evaluation; their step rules and sample
-points stay separate, so their agreement is a genuine cross-check and is kept
-that way on purpose.
+step matrices.  The transfer route crosses the support in equal slices, each a
+fourth-order Gauss-Legendre Magnus step sampled at the slice's two Gauss
+points, and reduces the slice matrices of many wells at once.  The two routes
+share only that product (a plain 2x2 reduction, tested on its own) and
+potential evaluation; their step rules and sample points stay separate, so
+their agreement is a genuine cross-check and is kept that way on purpose.
 
 Edge sampling: kinds with a jump at the support edge (square and
 square-triangular profiles are defined on open/closed intervals) must never be
@@ -49,6 +51,7 @@ __all__ = [
     "integrate_uv",
     "reflection_wronskian",
     "shoot",
+    "transfer_matrix_batch",
     "transfer_matrix_rt",
     "threshold_limit_r",
 ]
@@ -63,6 +66,15 @@ _MAX_HALVINGS = 6
 
 #: Matrices built and reduced at once (batch x steps); bounds the working set.
 _CHUNK = 1 << 14
+
+#: The same bound for the transfer-matrix route (wells x slices).
+_SLICE_CHUNK = 1 << 12
+
+#: Gauss-Legendre points of a slice, as fractions of its width.
+_GAUSS = (0.5 - math.sqrt(3.0) / 6.0, 0.5 + math.sqrt(3.0) / 6.0)
+
+#: Weight sqrt(3)/12 of the commutator term of the fourth-order Magnus exponent.
+_MAGNUS_C = math.sqrt(3.0) / 12.0
 
 
 class IntegrationError(ArithmeticError):
@@ -85,13 +97,14 @@ class GridConfig:
         Runge-Kutta step; ``None`` selects min(a, 1)/2000 for the well's
         length parameter a.
     n_slices
-        Transfer-matrix slice count (piecewise-constant approximation).
+        Transfer-matrix slice count; each slice is one fourth-order Magnus
+        step sampled at its two Gauss points.
     tail_tol
         Relative truncation level for asymptotically decaying wells.
     """
 
     step: float | None = None
-    n_slices: int = 4000
+    n_slices: int = 1000
     tail_tol: float = potentials.DEFAULT_TAIL_TOL
 
 
@@ -362,43 +375,42 @@ def reflection_wronskian(bd: BoundaryData) -> ScatterResult:
     return ScatterResult(r=r, t=None, R=R, T=1.0 - R, unitarity_residual=0.0, method="wronskian")
 
 
-def _slice_matrices(w2: np.ndarray, d: float) -> np.ndarray:
-    """Exact constant-potential propagators of (psi, psi') over width d, (2, 2, n)."""
-    osc = w2 > 0.0
-    w = np.sqrt(np.abs(w2))
-    wd = w * d
-    c = np.where(osc, np.cos(wd), np.cosh(wd))
-    # sin(wd)/w and sinh(wd)/w, both -> d as w -> 0
-    with np.errstate(invalid="ignore", divide="ignore"):
-        s = np.where(osc, np.sin(wd), np.sinh(wd)) / w
-    s = np.where(w > 0.0, s, d)
-    off = np.where(osc, -w * np.sin(wd), w * np.sinh(wd))
-    return np.array([[c, s], [off, c]])
+def _slice_matrices(g1: np.ndarray, g2: np.ndarray, d: float) -> np.ndarray:
+    """Fourth-order Magnus propagators of psi'' = g psi over slices of width d.
 
+    ``g1`` and ``g2`` hold g = V - E at the two Gauss points of each slice; the
+    result is (2, 2, *g1.shape).  With A = [[0, 1], [g, 0]], the exponent
+    Omega = (d/2)(A1 + A2) + (sqrt(3)/12) d^2 [A2, A1] = [[alpha, d], [gamma, -alpha]]
+    is traceless with Omega^2 = s^2 I, s^2 = alpha^2 + d gamma, so
 
-def transfer_matrix_rt(p: Potential, E: float, n_slices: int | None = None, cfg: GridConfig | None = None) -> ScatterResult:
-    """Reflection and transmission from piecewise-constant slicing.
+        exp(Omega) = cosh(s) I + (sinh(s)/s) Omega
 
-    Each slice uses the midpoint potential value and its exact
-    constant-potential propagator, so piecewise-constant wells are reproduced
-    exactly at any slice count.  For attractive wells every local wavenumber
-    is real and no evanescent-overflow handling is needed; the cosh/sinh
-    branch exists for completeness.
+    (cos and sin(theta)/theta with theta^2 = -s^2 on oscillatory slices).  In
+    a slice where g is constant, alpha = 0 and this is the exact propagator.
     """
-    if E <= 0.0:
-        raise ValueError(f"transfer-matrix route requires E > 0, got E = {E}")
-    cfg = cfg or GridConfig()
-    n = n_slices if n_slices is not None else cfg.n_slices
-    if n < 1:
-        raise ValueError(f"n_slices must be >= 1, got {n}")
-    lo, hi = potentials.support_bounds(p, cfg.tail_tol)
-    d = (hi - lo) / n
-    mids = lo + d * (np.arange(n) + 0.5)
-    vm = np.atleast_1d(np.asarray(potentials.evaluate(p, mids), dtype=float))
-    total = _ordered_product(_slice_matrices(E - vm, d))
-    k = math.sqrt(E)
-    p11, p12 = total[0, 0], total[0, 1]
-    p21, p22 = total[1, 0], total[1, 1]
+    alpha = (_MAGNUS_C * d * d) * (g1 - g2)
+    gamma = (0.5 * d) * (g1 + g2)
+    s2 = alpha * alpha + d * gamma
+    theta = np.sqrt(np.maximum(-s2, 0.0))
+    c = np.cos(theta)
+    sigma = np.ones_like(theta)  # sin(theta)/theta -> 1 as theta -> 0
+    np.divide(np.sin(theta), theta, out=sigma, where=theta > 0.0)
+    evanescent = s2 > 0.0
+    if evanescent.any():
+        s = np.sqrt(s2[evanescent])
+        c[evanescent] = np.cosh(s)
+        sigma[evanescent] = np.sinh(s) / s
+    m = np.empty((2, 2) + c.shape)
+    m[0, 0] = c + sigma * alpha
+    m[0, 1] = sigma * d
+    m[1, 0] = sigma * gamma
+    m[1, 1] = c - sigma * alpha
+    return m
+
+
+def _transfer_result(P: list, k: float, lo: float, hi: float) -> ScatterResult:
+    """r and t from the left edge -> right edge propagator P (nested lists)."""
+    (p11, p12), (p21, p22) = P
     A = 1j * k * p11 - p21
     B = 1j * k * p22 + k * k * p12
     if abs(A + B) < 1e-300:
@@ -412,6 +424,57 @@ def transfer_matrix_rt(p: Potential, E: float, n_slices: int | None = None, cfg:
     R = abs(r) ** 2
     T = abs(t) ** 2
     return ScatterResult(r=r, t=t, R=R, T=T, unitarity_residual=abs(R + T - 1.0), method="transfer")
+
+
+def transfer_matrix_batch(
+    wells: list[Potential], E: float, n_slices: int | None = None, cfg: GridConfig | None = None
+) -> list[ScatterResult]:
+    """:func:`transfer_matrix_rt` of several wells that share one support.
+
+    The wells' slice products are reduced together, in chunks of at most
+    ``_SLICE_CHUNK`` matrices along both the well and the slice axis.  The
+    slice chunks depend on the slice count alone, so every result equals the
+    single-well call bit for bit.  Raises ValueError when the supports differ.
+    """
+    if E <= 0.0:
+        raise ValueError(f"transfer-matrix route requires E > 0, got E = {E}")
+    cfg = cfg or GridConfig()
+    n = n_slices if n_slices is not None else cfg.n_slices
+    if n < 1:
+        raise ValueError(f"n_slices must be >= 1, got {n}")
+    supports = {potentials.support_bounds(p, cfg.tail_tol) for p in wells}
+    if len(supports) > 1:
+        raise ValueError(f"wells of one transfer batch must share one support, got {sorted(supports)}")
+    if not wells:
+        return []
+    (lo, hi), = supports
+    d = (hi - lo) / n
+    x = lo + d * (np.arange(n)[None, :] + np.array(_GAUSS)[:, None]).ravel()
+    width = min(n, _SLICE_CHUNK)
+    rows = max(_SLICE_CHUNK // width, 1)
+    k = math.sqrt(E)
+    out = []
+    for b in range(0, len(wells), rows):
+        g = np.array([potentials.evaluate(p, x) for p in wells[b:b + rows]]) - E
+        g1, g2 = g[:, :n], g[:, n:]
+        total = np.eye(2)[..., None]
+        for i in range(0, n, width):
+            total = _mul(_ordered_product(_slice_matrices(g1[:, i:i + width], g2[:, i:i + width], d)), total)
+        out.extend(_transfer_result(P, k, lo, hi) for P in np.moveaxis(total, -1, 0).tolist())
+    return out
+
+
+def transfer_matrix_rt(p: Potential, E: float, n_slices: int | None = None, cfg: GridConfig | None = None) -> ScatterResult:
+    """Reflection and transmission from a product of slice propagators.
+
+    The support is cut into ``n_slices`` equal slices (``cfg.n_slices``, 1000,
+    by default), each crossed by the fourth-order Gauss-Legendre Magnus step
+    of :func:`_slice_matrices`, which samples V at the slice's two Gauss
+    points.  The step is exact where V is constant across a slice, so
+    piecewise-constant wells are reproduced exactly at any slice count; on
+    smooth wells the error falls 16-fold per doubling of the slice count.
+    """
+    return transfer_matrix_batch([p], E, n_slices, cfg)[0]
 
 
 def threshold_limit_r(bd: BoundaryData) -> complex:

@@ -40,8 +40,9 @@ def route_pairs():
     100 square wells: closed form vs fundamental-system route vs transfer
     route (default slices — exact for piecewise-constant shapes).
     100 exponentially decaying wells: closed form vs transfer route at
-    65536 slices (the O(slice^2) midpoint error at the 4000 default is ~1e-5,
-    above the 1e-6 agreement bar; the slice count is a per-run knob).
+    65536 slices (the O(slice^4) Magnus error at the 1000 default reaches
+    ~2e-6 on these wells, above the 1e-6 agreement bar; the slice count is a
+    per-run knob).
     """
     rng = np.random.default_rng(20260819)
     records = []

@@ -99,6 +99,12 @@ class TestScanQ:
         assert self._scan(b, workers="3") == 0
         assert a.read_bytes() == b.read_bytes()
 
+    def test_grid_metadata_has_default_slices(self, tmp_path):
+        f = tmp_path / "scan.csv"
+        assert self._scan(f) == 0
+        grid = [l for l in f.read_text(encoding="utf-8").splitlines() if l.startswith("# grid: ")]
+        assert json.loads(grid[0][len("# grid: "):])["n_slices"] == 1000
+
     def test_minima_sidecar(self, tmp_path):
         f = tmp_path / "scan.csv"
         assert self._scan(f) == 0
@@ -254,6 +260,10 @@ class TestExitCodes:
              "--points", "5"],
             # a strength knob the kind does not take
             ["find-qc", "--potential", '{"kind":"SquareWell","params":{"a":1,"nu":7}}', "--bracket", "1.4", "1.8"],
+            # no transfer-matrix slices
+            ["scan-q", "--potential", SQUARE_FAMILY, "--energy", "0.01", "--q-min", "1.4", "--q-max", "1.8",
+             "--points", "5", "--slices", "0"],
+            ["reflect", "--potential", SQUARE, "--energy", "1.0", "--method", "transfer", "--slices", "0"],
         ],
     )
     def test_invalid_input_is_exit_two(self, capsys, argv):

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from halfbound import analytic as an
 from halfbound import potentials as pot
 from halfbound import scatter as sc
 
@@ -230,6 +231,120 @@ class TestTransferRoute:
     def test_slice_count_validated(self):
         with pytest.raises(ValueError):
             sc.transfer_matrix_rt(_well("SquareWell", V0=1.0, a=1.0), 1.0, n_slices=0)
+
+
+#: One family of every pointwise kind: (kind, fixed parameters).
+FAMILIES = [
+    ("SquareWell", {}),
+    ("ExponentialWell", {}),
+    ("SolitonWell", {}),
+    ("ParabolicWell", {"b": 1.1}),
+    ("SquareTriangular", {"alpha": 0.5}),
+    ("Sin2Multiwell", {"m": 2}),
+]
+
+#: Exponential well (a = 1) just below its first critical strength j_{0,1}.
+Q_CRIT = 2.4048255
+
+
+def _magnus_exponent(g1, g2, d):
+    """Omega = (d/2)(A1 + A2) + (sqrt(3)/12) d^2 [A2, A1] with A = [[0, 1], [g, 0]]."""
+    A1, A2 = np.array([[0.0, 1.0], [g1, 0.0]]), np.array([[0.0, 1.0], [g2, 0.0]])
+    return 0.5 * d * (A1 + A2) + math.sqrt(3.0) / 12.0 * d * d * (A2 @ A1 - A1 @ A2)
+
+
+class TestMagnusSlice:
+    @pytest.mark.parametrize(
+        "g_lo, g_hi, d_hi",
+        [(-40.0, -1.0, 0.2), (1.0, 60.0, 0.3), (-40.0, 40.0, 0.3)],
+        ids=["oscillatory", "evanescent", "mixed"],
+    )
+    def test_matches_expm(self, g_lo, g_hi, d_hi):
+        expm = pytest.importorskip("scipy.linalg").expm
+        rng = np.random.default_rng(13)
+        g1, g2 = rng.uniform(g_lo, g_hi, (2, 64))
+        g1[:2] = g2[:2] = 0.0  # s^2 = 0
+        d = rng.uniform(0.01, d_hi)
+        m = sc._slice_matrices(g1, g2, d)
+        assert m.shape == (2, 2, 64)
+        for i in range(64):
+            np.testing.assert_allclose(m[..., i], expm(_magnus_exponent(g1[i], g2[i], d)), rtol=1e-13, atol=1e-14)
+        det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
+        assert np.max(np.abs(det - 1.0)) <= 1e-13
+
+    def test_free_slice_beside_both_branches(self):
+        # s^2 = 0 where g vanishes: the free propagator [[1, d], [0, 1]], exactly
+        m = sc._slice_matrices(np.array([-5.0, 7.0, 0.0]), np.array([-3.0, 2.0, 0.0]), 0.1)
+        np.testing.assert_array_equal(m[..., 2], [[1.0, 0.1], [0.0, 1.0]])
+        assert m[0, 0, 0] < 1.0 < m[0, 0, 1]
+
+    @pytest.mark.parametrize("g", [-30.0, -0.5, 0.7, 12.0])
+    def test_constant_slice_is_exact_propagator(self, g):
+        d = 0.13
+        w = math.sqrt(abs(g))
+        if g < 0.0:
+            exact = [[math.cos(w * d), math.sin(w * d) / w], [-w * math.sin(w * d), math.cos(w * d)]]
+        else:
+            exact = [[math.cosh(w * d), math.sinh(w * d) / w], [w * math.sinh(w * d), math.cosh(w * d)]]
+        m = sc._slice_matrices(np.array([g]), np.array([g]), d)[..., 0]
+        np.testing.assert_allclose(m, exact, rtol=1e-14, atol=1e-15)
+
+
+class TestTransferBatch:
+    @pytest.mark.parametrize("kind, fixed", FAMILIES, ids=[k for k, _ in FAMILIES])
+    @pytest.mark.parametrize("size", [1, 3, 5, 17])
+    @pytest.mark.parametrize("n", [7, 999, 1000, sc._SLICE_CHUNK + 1])
+    def test_rows_equal_single_well_calls(self, kind, fixed, size, n):
+        family = pot.make_family(kind, **fixed)
+        wells = [family.at(s) for s in np.linspace(family.floor + 0.5, family.floor + 6.0, size)]
+        batch = sc.transfer_matrix_batch(wells, 0.05, n_slices=n)
+        assert batch == [sc.transfer_matrix_rt(p, 0.05, n_slices=n) for p in wells]
+
+    @pytest.mark.parametrize(
+        "kind, params",
+        [("SquareWell", [{"V0": 2.0, "a": 1.0}, {"V0": 2.0, "a": 1.5}]),
+         ("ExponentialWell", [{"V0": 2.0, "a": 1.0}, {"V0": 2.0, "a": 0.5}])],
+    )
+    def test_different_supports_rejected(self, kind, params):
+        with pytest.raises(ValueError, match="one support"):
+            sc.transfer_matrix_batch([_well(kind, **prm) for prm in params], 0.1)
+
+    def test_rejects_bad_energy_and_slices(self):
+        wells = [_well("SquareWell", V0=1.0, a=1.0)]
+        with pytest.raises(ValueError):
+            sc.transfer_matrix_batch(wells, 0.0)
+        with pytest.raises(ValueError):
+            sc.transfer_matrix_batch(wells, 1.0, n_slices=0)
+
+
+class TestTransferAccuracy:
+    """Default-slice transfer route against independent references near q_c.
+
+    The midpoint rule the route used before misses every bound here.
+    """
+
+    @pytest.mark.parametrize(
+        "V0, E, rel",
+        [(Q_CRIT**2, 1e-3, 1e-4), (Q_CRIT**2, 1e-5, 2e-3), (5.76, 0.01, 1e-5)],
+    )
+    def test_exponential_default_slices(self, V0, E, rel):
+        R = sc.transfer_matrix_rt(_well("ExponentialWell", V0=V0, a=1.0), E).R
+        assert R == pytest.approx(abs(an.exp_well_r_exact(E, V0, 1.0)) ** 2, rel=rel)
+
+    def test_fourth_order_convergence(self):
+        p = _well("ExponentialWell", V0=5.76, a=1.0)
+        exact = abs(an.exp_well_r_exact(0.01, 5.76, 1.0)) ** 2
+        err = [abs(sc.transfer_matrix_rt(p, 0.01, n_slices=n).R - exact) for n in (500, 1000)]
+        assert err[0] >= 10.0 * err[1]
+
+    @pytest.mark.parametrize("n_slices, tol", [(None, 1e-7), (65536, 1e-9)])
+    def test_sin2_near_critical_matches_rk4(self, n_slices, tol):
+        # the energy-scan benchmark's compact-well oracle case (seed 908, round 67):
+        # transfer route at 65536 slices against RK4 within its 1e-6 bound
+        p = _well("Sin2Multiwell", V0=35.12254883918399, a=1.0, m=1)
+        E = 1.289671e-05
+        ref = sc.reflection_wronskian(sc.integrate_uv(p, E, sc.GridConfig(step=sc.default_step(p) / 4))).R
+        assert abs(sc.transfer_matrix_rt(p, E, n_slices=n_slices).R - ref) <= tol
 
 
 class TestThresholdLimit:
