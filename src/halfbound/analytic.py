@@ -117,7 +117,9 @@ def exp_well_r_exact(E: float, V0: float, a: float) -> complex:
     r = -(1/2) (q/2)^(-2ika) [Gamma(1+ika)/Gamma(1-ika)]
         * [J_{ika}(q)/J_{-ika}(q) + J'_{ika}(q)/J'_{-ika}(q)],  q = a sqrt(V0).
 
-    Both Bessel ratios have unit modulus, so |r| <= 1 up to rounding.
+    For real q, J_{-ika}(q) is the complex conjugate of J_{ika}(q), and so is
+    J'; one pass of the series gives J and J' together.  Both Bessel ratios
+    therefore have unit modulus, so |r| <= 1 up to rounding.
     """
     if E <= 0.0:
         raise ValueError(f"E must be positive, got {E}")
@@ -127,11 +129,11 @@ def exp_well_r_exact(E: float, V0: float, a: float) -> complex:
     if q > 30.0:
         raise ValidityError(f"series evaluation needs q <= 30, got q = {q:g}")
     ika = 1j * math.sqrt(E) * a
-    j_minus = specfun.bessel_j(-ika, q)
-    jp_minus = specfun.bessel_j_prime(-ika, q)
-    if abs(j_minus) < 1e-14 or abs(jp_minus) < 1e-14:
+    j = specfun.bessel_j(ika, q)
+    jp = specfun.bessel_j_prime(ika, q)
+    if abs(j) < 1e-14 or abs(jp) < 1e-14:
         raise DegeneracyError("Bessel denominator numerically zero; retry with perturbed E")
-    ratio = specfun.bessel_j(ika, q) / j_minus + specfun.bessel_j_prime(ika, q) / jp_minus
+    ratio = j / j.conjugate() + jp / jp.conjugate()
     pref = cmath.exp(-2.0 * ika * math.log(0.5 * q)) * (
         specfun.gamma_complex(1.0 + ika) / specfun.gamma_complex(1.0 - ika)
     )

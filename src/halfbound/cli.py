@@ -114,6 +114,8 @@ def _R_at_energies(p: potentials.Potential, method: str, cfg: scatter.GridConfig
 
 def _run_points(fn, xs: list[float], workers: int) -> list[float]:
     """fn(xs), or fn mapped over one contiguous chunk of xs per worker process."""
+    if workers < 0:
+        raise ValueError(f"--workers must be >= 0, got {workers}")
     if workers == 0:
         workers = os.cpu_count() or 1
     if workers <= 1 or len(xs) < 4:

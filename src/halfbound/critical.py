@@ -17,8 +17,11 @@ criticality the same zero-energy shot, continued past the right edge as the
 straight line psi(L1) + psi'(L1)(x - L1), counts bound states by its
 whole-line node count (Sturm oscillation).
 
-The scan step of 0.02 in q cannot skip roots for the catalogued families:
-consecutive critical strengths are separated by at least ~1 in every case.
+The scan in q takes steps of 0.02.  The closest pair of critical strengths
+measured is 0.87 apart (sin^2 with m = 2, up to q = 30); that is an
+observation, not a bound.  ``bound_state_count_at`` is the certificate: across
+a scanned window the bound-state count rises by exactly the number of roots
+found.
 """
 
 from __future__ import annotations
@@ -182,12 +185,7 @@ def critical_spectrum(
         raise ValueError(f"need q_min < q_max, got {q_min} >= {q_max}")
     n = int(math.ceil((q_max - q_min) / SCAN_STEP)) + 1
     qs = np.linspace(q_min, q_max, n)
-    # coarse grid for bracketing only; roots are re-polished at full accuracy
-    scan_cfg = GridConfig(
-        step=(cfg.step if cfg and cfg.step is not None else None),
-        tail_tol=cfg.tail_tol if cfg else potentials.DEFAULT_TAIL_TOL,
-    )
-    fs = _mismatch_batch(family, qs, scan_cfg)
+    fs = _mismatch_batch(family, qs, cfg)
     out: list[HbsResult] = []
     for i in range(n - 1):
         if fs[i] == 0.0:

@@ -9,16 +9,16 @@ principles:
 * ``gamma_complex`` -- Lanczos rational approximation (g = 7, 9 terms) with the
   reflection formula for Re(z) < 1/2.  Good to >= 12 significant digits for
   |z| <= 50.
-* ``bessel_j`` -- the ascending power series in z, valid for complex order.
-  One code path, no asymptotic switching.  Real orders are accumulated in
-  extended precision (numpy longdouble), which keeps the absolute rounding
-  floor of the alternating series below ~1e-12 up to z ~ 20.  The complex-order
-  path stays in double precision: fully accurate for z <~ 12, degrading slowly
-  by cancellation (roughly one digit lost per extra 2.5 in z; ~5 significant
-  digits remain at z = 30).  Every complex order this package feeds in has
-  |nu| = ka <= 0.05 at arguments z = q <= 6, well inside the clean region.
+* ``bessel_j``, ``bessel_j_prime`` -- one pass of the ascending power series
+  gives J_nu and, term by term, J'_nu, for real or complex order: one code
+  path, no asymptotic switching, accumulated in extended precision (numpy
+  longdouble or clongdouble) for every order.  The alternating series cancels
+  down from a largest term of order e^z/(pi z).  Against 40-digit mpmath, for
+  orders 1e-3i to 2i and 0.3+0.7i: relative error <= 4e-15 up to z = 12,
+  <= 6e-10 at z = 24 and <= 6e-7 at z = 29; real orders stay within 1e-12
+  absolute up to z = 20 and 2e-8 at z = 30.
 * ``bessel_y01`` -- Neumann functions Y0, Y1 from the standard logarithmic
-  series, same accuracy envelope as ``bessel_j``.
+  series in double precision: 5e-13 absolute at z = 12, 2e-9 at z = 20.
 * ``bessel_zero`` -- zeros of J0/J1 by McMahon initial guesses plus Brent
   polish.
 
@@ -53,6 +53,8 @@ MAX_ORDER = 50.0
 
 _SERIES_CAP = 200
 _SERIES_RTOL = 1e-17
+# m = 1 .. _SERIES_CAP as longdouble scalars, built once for the series loop
+_M = tuple(np.arange(1, _SERIES_CAP + 1, dtype=np.longdouble))
 
 # Lanczos approximation, g = 7, n = 9 (Godfrey/Pugh coefficient set).
 _LANCZOS_G = 7.0
@@ -92,54 +94,61 @@ def gamma_complex(z: complex) -> complex:
     return math.sqrt(2.0 * math.pi) * t ** (z + 0.5) * cmath.exp(-t) * x
 
 
-def _series_sum_real(x: float, z: float) -> float:
-    """Real-order variant of ``_series_sum`` accumulated in longdouble.
+def _series(nu: float | complex, z: float) -> tuple:
+    """One pass of the series: (S, S') = (sum t_m, sum (nu + 2m) t_m).
 
-    The alternating series cancels down from a largest term of order
-    e^z/(pi z); 80-bit accumulation keeps the absolute rounding floor of the
-    sum below ~1e-12 for z up to ~20 instead of ~12.
+    t_0 = 1, t_m = -t_{m-1} (z/2)^2 / (m (nu + m)); J_nu(z) = pref S and
+    J'_nu(z) = pref S'/z with pref = (z/2)^nu / Gamma(nu+1).  The sums are
+    longdouble for real orders and clongdouble for complex ones.
 
-    Orders near (but not at) a negative integer are fine: x + m is exact for
-    x in the Sterbenz band around -m, and the huge 1/(x+m) factor in the sum
-    cancels against the gamma pole in the caller's prefactor, so the product
-    stays accurate.  Exact negative integers never reach here — the caller
-    reflects them to positive order first.
+    Real orders near (but not at) a negative integer are fine: nu + m is exact
+    in the Sterbenz band around -m, and the huge 1/(nu+m) factor in the sum
+    cancels against the gamma pole in the prefactor.  Exact negative integers
+    never reach here -- the callers reflect them to positive order first.
     """
+    num = np.longdouble(nu) if isinstance(nu, float) else np.clongdouble(nu)
     w = np.longdouble(0.25 * z) * np.longdouble(z)
     term = np.longdouble(1.0)
     total = np.longdouble(1.0)
-    xl = np.longdouble(x)
-    for m in range(1, _SERIES_CAP + 1):
-        denom = np.longdouble(m) * (xl + np.longdouble(m))
+    dtotal = num
+    for m in _M:
+        nu_m = num + m
+        denom = m * nu_m
         if denom == 0.0:
-            raise ValueError(f"order {x} is a negative integer; no series")
+            raise ValueError(f"order {nu} is a negative integer; no series")
         term = -term * w / denom
         total = total + term
-        if abs(float(term)) <= _SERIES_RTOL * abs(float(total)):
-            return float(total)
-    raise ConvergenceError(
-        f"Bessel series did not converge for nu={x}, z={z} "
-        f"within {_SERIES_CAP} terms (use z <= ~30)"
-    )
-
-
-def _series_sum(nu: complex, z: float) -> complex:
-    """Sum_{m>=0} t_m with t_0 = 1, t_m = -t_{m-1} (z/2)^2 / (m (nu+m))."""
-    w = 0.25 * z * z
-    term = 1.0 + 0.0j
-    total = 1.0 + 0.0j
-    for m in range(1, _SERIES_CAP + 1):
-        denom = m * (nu + m)
-        if abs(denom) < 1e-12:
-            raise ValueError(f"order {nu} too close to a negative integer")
-        term *= -w / denom
-        total += term
-        if abs(term) <= _SERIES_RTOL * abs(total):
-            return total
+        dterm = (nu_m + m) * term
+        dtotal = dtotal + dterm
+        if abs(term) <= _SERIES_RTOL * abs(total) and abs(dterm) <= _SERIES_RTOL * abs(dtotal):
+            return total, dtotal
     raise ConvergenceError(
         f"Bessel series did not converge for nu={nu}, z={z} "
         f"within {_SERIES_CAP} terms (use z <= ~30)"
     )
+
+
+def _bessel(nu: complex, z: float) -> tuple:
+    """(J_nu(z), J'_nu(z)) from one :func:`_series` pass, validated.
+
+    Negative integer orders use J_{-n} = (-1)^n J_n, which carries over to J'.
+    Both come back as floats for real orders and complex otherwise.
+    """
+    if z <= 0.0:
+        raise ValueError(f"argument must be positive, got z = {z}")
+    nu_c = complex(nu)
+    if abs(nu_c) > MAX_ORDER:
+        raise ValueError(f"|order| = {abs(nu_c):g} exceeds maximum {MAX_ORDER:g}")
+    if nu_c.imag == 0.0:
+        nu, sign, kind = nu_c.real, 1.0, float
+        if nu < 0.0 and nu == math.floor(nu):
+            nu, sign = -nu, (-1.0 if int(-nu) % 2 else 1.0)
+        pref = sign * math.exp(nu * math.log(0.5 * z)) / math.gamma(nu + 1.0)
+    else:
+        nu, kind = nu_c, complex
+        pref = cmath.exp(nu * math.log(0.5 * z)) / gamma_complex(nu + 1.0)
+    s, ds = _series(nu, z)
+    return pref * kind(s), pref * kind(ds) / z
 
 
 def bessel_j(nu: complex, z: float) -> complex | float:
@@ -149,26 +158,16 @@ def bessel_j(nu: complex, z: float) -> complex | float:
         J_nu(z) = sum_m (-1)^m (z/2)^(nu+2m) / (m! Gamma(nu+m+1)).
     Returns a float when the order is real, complex otherwise.
     """
-    if z <= 0.0:
-        raise ValueError(f"argument must be positive, got z = {z}")
-    nu_c = complex(nu)
-    if abs(nu_c) > MAX_ORDER:
-        raise ValueError(f"|order| = {abs(nu_c):g} exceeds maximum {MAX_ORDER:g}")
-    if nu_c.imag == 0.0:
-        x = nu_c.real
-        if x < 0.0 and x == math.floor(x):
-            n = int(-x)
-            sign = -1.0 if n % 2 else 1.0
-            return sign * bessel_j(float(n), z)
-        pref = math.exp(x * math.log(0.5 * z)) / math.gamma(x + 1.0)
-        return pref * _series_sum_real(x, z)
-    pref = cmath.exp(nu_c * math.log(0.5 * z)) / gamma_complex(nu_c + 1.0)
-    return pref * _series_sum(nu_c, z)
+    return _bessel(nu, z)[0]
 
 
 def bessel_j_prime(nu: complex, z: float) -> complex | float:
-    """d/dz J_nu(z) via J'_nu = (J_{nu-1} - J_{nu+1}) / 2."""
-    return 0.5 * (bessel_j(nu - 1.0, z) - bessel_j(nu + 1.0, z))
+    """d/dz J_nu(z), the term-by-term derivative of the series of J_nu:
+
+        J'_nu(z) = sum_m (-1)^m (nu+2m)/z (z/2)^(nu+2m) / (m! Gamma(nu+m+1)),
+    summed in the same pass as J_nu.  Float for real order, complex otherwise.
+    """
+    return _bessel(nu, z)[1]
 
 
 def bessel_y01(order: int, z: float) -> float:

@@ -59,6 +59,19 @@ class TestSquareWell:
             assert abs(abs(psi[-1]) - 1.0) < 1e-12
 
 
+def _mpmath_R(E, q):
+    """R of the exponential well (a = 1) from its closed form at 40 digits in mpmath."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        q = mpmath.mpf(q)
+        ika = 1j * mpmath.sqrt(E)
+        pref = mpmath.power(q / 2, -2 * ika) * mpmath.gamma(1 + ika) / mpmath.gamma(1 - ika)
+        ratio = mpmath.besselj(ika, q) / mpmath.besselj(-ika, q) + mpmath.besselj(
+            ika, q, derivative=1
+        ) / mpmath.besselj(-ika, q, derivative=1)
+        return float(abs(-0.5 * pref * ratio) ** 2)
+
+
 class TestExponentialWellExact:
     def test_moderate_energy(self):
         assert abs(an.exp_well_r_exact(0.1, 5.76, 1.0)) ** 2 == pytest.approx(
@@ -100,6 +113,23 @@ class TestExponentialWellExact:
             assert abs(r) <= 1.0 + 1e-12
 
 
+class TestExponentialWellExactWindow:
+    """The closed form across its whole window q <= 30, against mpmath."""
+
+    ENERGIES = (1e-10, 1e-5, 1e-2, 0.5)
+
+    @pytest.mark.parametrize(
+        "q, rel",
+        [(J01, 1e-12), (6.0, 1e-12), (12.0, 1e-12), (18.0, 1e-10), (24.0, 1e-8), (29.0, 1e-5), (30.0, 1e-5)],
+    )
+    def test_relative_error_in_R(self, q, rel):
+        for E in self.ENERGIES:
+            # at q_c and E = 1e-10, R is ~2e-11 and the phase cancellation costs digits
+            bound = 1e-7 if (q, E) == (J01, 1e-10) else rel
+            got, want = abs(an.exp_well_r_exact(E, q * q, 1.0)) ** 2, _mpmath_R(E, q)
+            assert abs(got - want) <= bound * want, E
+
+
 class TestTable1CriticalColumnOracles:
     """The criterion-1 reference entries at E = 1e-5 closest to q_c, checked
     against two oracles that share no code with halfbound: the closed form at
@@ -108,18 +138,6 @@ class TestTable1CriticalColumnOracles:
 
     E = 1e-5
     ROWS = ("2.40482", "2.404825", "2.4048255")
-
-    @staticmethod
-    def _mpmath_R(E, q):
-        mpmath = pytest.importorskip("mpmath")
-        with mpmath.workdps(40):
-            q = mpmath.mpf(q)
-            ika = 1j * mpmath.sqrt(E)
-            pref = mpmath.power(q / 2, -2 * ika) * mpmath.gamma(1 + ika) / mpmath.gamma(1 - ika)
-            ratio = mpmath.besselj(ika, q) / mpmath.besselj(-ika, q) + mpmath.besselj(
-                ika, q, derivative=1
-            ) / mpmath.besselj(-ika, q, derivative=1)
-            return float(abs(-0.5 * pref * ratio) ** 2)
 
     @staticmethod
     def _ivp_R(E, q, L=25.0):
@@ -147,7 +165,7 @@ class TestTable1CriticalColumnOracles:
 
     def test_against_mpmath_closed_form(self):
         for q, ref in self._reference():
-            assert ref == pytest.approx(self._mpmath_R(self.E, q), rel=1e-3), q
+            assert ref == pytest.approx(_mpmath_R(self.E, q), rel=1e-3), q
 
     def test_against_direct_integration(self):
         for q, ref in self._reference():

@@ -264,6 +264,10 @@ class TestExitCodes:
             ["scan-q", "--potential", SQUARE_FAMILY, "--energy", "0.01", "--q-min", "1.4", "--q-max", "1.8",
              "--points", "5", "--slices", "0"],
             ["reflect", "--potential", SQUARE, "--energy", "1.0", "--method", "transfer", "--slices", "0"],
+            # a negative worker count
+            ["scan-q", "--potential", SQUARE_FAMILY, "--energy", "0.01", "--q-min", "1.4", "--q-max", "1.8",
+             "--points", "5", "--workers", "-1"],
+            ["scan-e", "--potential", SQUARE, "--e-min", "0.1", "--e-max", "1", "--points", "5", "--workers", "-2"],
         ],
     )
     def test_invalid_input_is_exit_two(self, capsys, argv):

@@ -104,6 +104,26 @@ class TestSpectra:
         assert counts == sorted(counts)
         assert all(b - a == 1 for a, b in zip(counts, counts[1:]))
 
+    @pytest.mark.parametrize(
+        "kind, params, q_max",
+        [
+            ("SquareWell", {"a": 1.0}, 30.0),
+            ("ExponentialWell", {"a": 1.0}, 6.0),
+            ("ParabolicWell", {"a": 1.0, "b": 1.1}, 30.0),
+            ("SquareTriangular", {"a": 1.0, "alpha": 0.5}, 30.0),
+            ("Sin2Multiwell", {"a": 1.0, "m": 1}, 30.0),
+            # holds the closest measured pair, 0.87 apart near q = 22.3
+            ("Sin2Multiwell", {"a": 1.0, "m": 2}, 30.0),
+        ],
+    )
+    def test_complete_by_bound_state_count(self, kind, params, q_max):
+        fam = pot.make_family(kind, **params)
+        res = cr.critical_spectrum(fam, q_max)
+        q_min = fam.floor + cr.SCAN_STEP
+        gained = cr.bound_state_count_at(fam, q_max) - cr.bound_state_count_at(fam, q_min)
+        assert len(res) == gained
+        assert [r.node_count for r in res] == list(range(1, len(res) + 1))
+
     def test_sin2_single_well(self):
         fam = pot.make_family("Sin2Multiwell", a=1.0, m=1)
         got = [r.q_c for r in cr.critical_spectrum(fam, 7.6)]

@@ -92,6 +92,31 @@ class TestBesselJ:
             assert sf.bessel_j_prime(0.0, z) == pytest.approx(-sf.bessel_j(1.0, z), abs=1e-12)
 
 
+class TestBesselJComplexOrderAgainstMpmath:
+    """Complex-order J and J' against mpmath.besselj at 40 digits, up to z = 29."""
+
+    ORDERS = (1e-3j, 0.05j, 0.7j, 2j, 0.3 + 0.7j)
+    CASES = [(2.4, 1e-13), (12.0, 1e-13), (24.0, 2e-9), (29.0, 2e-6)]
+
+    @classmethod
+    def _worst(cls, fn, z, derivative):
+        mpmath = pytest.importorskip("mpmath")
+        worst = 0.0
+        for nu in cls.ORDERS:
+            with mpmath.workdps(40):
+                want = complex(mpmath.besselj(nu, z, derivative=derivative))
+            worst = max(worst, abs(fn(nu, z) - want) / abs(want))
+        return worst
+
+    @pytest.mark.parametrize("z, rel", CASES)
+    def test_j(self, z, rel):
+        assert self._worst(sf.bessel_j, z, 0) <= rel
+
+    @pytest.mark.parametrize("z, rel", CASES)
+    def test_j_prime(self, z, rel):
+        assert self._worst(sf.bessel_j_prime, z, 1) <= rel
+
+
 class TestNeumann:
     def test_y0_small_argument_log_divergence(self):
         assert sf.bessel_y01(0, 1e-3) == pytest.approx(-4.471416611375923, rel=1e-12)
