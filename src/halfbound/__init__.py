@@ -53,6 +53,7 @@ from .scatter import (
     ScatterResult,
     count_nodes,
     integrate_uv,
+    integrate_uv_batch,
     reflection_wronskian,
     shoot,
     threshold_limit_r,
@@ -92,6 +93,7 @@ __all__ = [
     "gamma_complex",
     "hbs_mismatch",
     "integrate_uv",
+    "integrate_uv_batch",
     "make_family",
     "make_potential",
     "reflection_wronskian",

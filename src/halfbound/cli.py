@@ -25,7 +25,6 @@ import functools
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -93,9 +92,6 @@ def _reflection(p: potentials.Potential, E: float, method: str, cfg: scatter.Gri
     return scatter.reflection_wronskian(bd)
 
 
-# -- scan workers (top level so the process pool can pickle their partials)
-
-
 def _R_at_strengths(family: potentials.PotentialFamily, E: float, method: str, cfg: scatter.GridConfig, qs: list[float]) -> list[float]:
     """R over a list of strengths; the transfer route reduces them in one batch."""
     wells = [family.at(float(q)) for q in qs]
@@ -109,22 +105,10 @@ def _R_at_strength(family: potentials.PotentialFamily, E: float, method: str, cf
 
 
 def _R_at_energies(p: potentials.Potential, method: str, cfg: scatter.GridConfig, Es: list[float]) -> list[float]:
-    return [_reflection(p, E, method, cfg).R for E in Es]
-
-
-def _run_points(fn, xs: list[float], workers: int) -> list[float]:
-    """fn(xs), or fn mapped over one contiguous chunk of xs per worker process."""
-    if workers < 0:
-        raise ValueError(f"--workers must be >= 0, got {workers}")
-    if workers == 0:
-        workers = os.cpu_count() or 1
-    if workers <= 1 or len(xs) < 4:
-        return fn(xs)
-    parts = min(workers, len(xs))
-    chunks = [xs[len(xs) * i // parts:len(xs) * (i + 1) // parts] for i in range(parts)]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        # pool.map preserves input order, keeping output deterministic
-        return [R for chunk in pool.map(fn, chunks) for R in chunk]
+    """R over a list of energies; the wronskian route integrates them in one batch."""
+    if method == "transfer":
+        return [_reflection(p, E, method, cfg).R for E in Es]
+    return [scatter.reflection_wronskian(bd).R for bd in scatter.integrate_uv_batch(p, Es, cfg)]
 
 
 def cmd_reflect(args) -> int:
@@ -174,8 +158,7 @@ def cmd_scan_q(args) -> int:
         raise potentials.PotentialError("need q-min < q-max and points >= 2")
     qs = np.linspace(args.q_min, args.q_max, args.points)
     cfg = _grid_config(args)
-    scan = functools.partial(_R_at_strengths, family, args.energy, args.method, cfg)
-    Rs = np.asarray(_run_points(scan, qs.tolist(), args.workers))
+    Rs = np.asarray(_R_at_strengths(family, args.energy, args.method, cfg, qs.tolist()))
     meta = {
         "descriptor": family.descriptor(),
         "axis": "q",
@@ -209,7 +192,7 @@ def cmd_scan_e(args) -> int:
     else:
         Es = np.linspace(args.e_min, args.e_max, args.points)
     cfg = _grid_config(args)
-    Rs = _run_points(functools.partial(_R_at_energies, p, args.method, cfg), Es.tolist(), args.workers)
+    Rs = _R_at_energies(p, args.method, cfg, Es.tolist())
     meta = {
         "descriptor": p.descriptor(),
         "axis": "E",
@@ -340,7 +323,7 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="transfer-matrix slices, one fourth-order Magnus step each (default %(default)s)")
         sp.add_argument("--tail-tol", type=float, default=potentials.DEFAULT_TAIL_TOL)
         sp.add_argument("--out", default=None, help="output file (default stdout)")
-        sp.add_argument("--workers", type=int, default=1, help="scan worker processes (0 = all cores)")
+        sp.add_argument("--workers", type=int, default=1, help="accepted for compatibility; no effect (scans run in one process)")
 
     sp = sub.add_parser("reflect", help="one reflection/transmission evaluation")
     common(sp)
@@ -386,6 +369,8 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "workers", 0) < 0:  # accepted for compatibility, without effect
+            raise ValueError(f"--workers must be >= 0, got {args.workers}")
         return args.fn(args)
     except critical.NoRootError as e:
         sys.stderr.write(f"error: {e}\n")

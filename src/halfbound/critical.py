@@ -1,15 +1,17 @@
 """Half-bound-state detection and critical-strength search.
 
 A well at critical strength supports a zero-energy solution that saturates to
-constants on both sides: psi'(-L2) = 0 = psi'(+L1).  Shooting at E = 0 from
-the left edge with the left condition imposed,
+constants on both sides: psi'(-L2) = 0 = psi'(+L1).  The E = 0 solution with
+the left condition imposed,
 
     psi(-L2) = 1,  psi'(-L2) = 0,
 
-turns criticality into a one-dimensional root problem for the right-edge
-derivative f(q) = psi'(L1).  This works for arbitrary catalogued wells --
-asymmetric ones included, where the saturating state is a genuine mixture of
-the even-like and odd-like fundamental solutions rather than either alone.
+is (v2', -u2') at the origin in the fundamental pair of scatter.integrate_uv,
+so criticality is a root in q of its right-edge derivative, the saturation
+determinant f(q) = psi'(L1) = u1' v2' - v1' u2'.  This works for arbitrary
+catalogued wells -- asymmetric ones included, where the saturating state is a
+genuine mixture of the even-like and odd-like fundamental solutions rather
+than either alone.  The scan evaluates f on one batch of depth-scaled rows.
 
 The number of interior nodes of the saturating state equals the number of
 negative-energy bound states the well holds at that strength; away from
@@ -80,15 +82,17 @@ class HbsResult:
 
 
 def hbs_mismatch(family: PotentialFamily, q: float, cfg: GridConfig | None = None) -> float:
-    """Right-edge derivative psi'(L1) of the left-saturating zero-energy shot.
+    """Saturation determinant u1' v2' - v1' u2' = psi'(L1) of the left-saturating E = 0 solution.
 
     Roots in q are the critical strengths.  (At q -> 0 the solution is the
     trivial constant with no node; the search ranges used here start above
     that.)
     """
-    p = family.at(q)
-    _, dpsi = scatter.shoot(p, E=0.0, psi0=1.0, dpsi0=0.0, cfg=cfg)
-    return dpsi
+    return _saturation(scatter.integrate_uv(family.at(q), 0.0, cfg))
+
+
+def _saturation(bd: scatter.BoundaryData) -> float:
+    return bd.u1p * bd.v2p - bd.v1p * bd.u2p
 
 
 def _mismatch_batch(family: PotentialFamily, qs: np.ndarray, cfg: GridConfig | None) -> np.ndarray:
@@ -96,16 +100,11 @@ def _mismatch_batch(family: PotentialFamily, qs: np.ndarray, cfg: GridConfig | N
 
     Every catalogued well is a fixed shape scaled by a depth, V = d(q) s(x), so
     the well sampled once at q_0 serves every q in the scan, scaled by the
-    depth ratio d(q)/d(q_0); the strengths form the batch axis of the RK4 steps.
+    depth ratio d(q)/d(q_0); the strengths are the rows of one E = 0 batch.
     """
     probe = family.at(float(qs[0]))
-    scale = family.depths(qs) / potentials.depth(probe.params)
-
-    total = np.eye(2)[..., None]
-    for _, vn, vm, h in scatter._traverse(probe, cfg or GridConfig()):
-        total = scatter._mul(scatter._rk4_product(vn, vm, h, scale)[0], total)
-    # psi'(L1) of the shot that starts from (psi, psi') = (1, 0)
-    return total[1, 0]
+    scales = family.depths(qs) / potentials.depth(probe.params)
+    return np.array([_saturation(bd) for bd in scatter.integrate_uv_batch(probe, 0.0, cfg, scales)])
 
 
 def find_critical_q(family: PotentialFamily, bracket: tuple[float, float], cfg: GridConfig | None = None) -> HbsResult:

@@ -170,7 +170,7 @@ def make_potential(kind: str, params: Mapping[str, float], tail_tol: float = DEF
         raise PotentialError(f"{kind} accepts parameters {required}; unexpected {extra}")
     if not (0.0 < tail_tol < 1.0):
         raise PotentialError(f"tail_tol must lie in (0, 1), got {tail_tol}")
-    # a plain dict so Potential stays picklable for scan workers; treat it as read-only
+    # a plain dict; treat it as read-only
     clean = {}
     for name in required:
         convert, ok, requirement = _VALID[name]

@@ -5,27 +5,29 @@ fourth-order Runge-Kutta for the two fundamental solutions
 
     u(0) = 1, u'(0) = 0        v(0) = 0, v'(0) = 1
 
-outward to both support edges, assembles the reflection amplitude from their
-boundary values, and provides an independent transfer-matrix route that yields
-both r and t.  The equation is linear, so one RK4 step is an exact 2x2 matrix
-on (psi, psi'); every RK4 integration here is the ordered product of those
-step matrices.  The transfer route crosses the support in equal slices, each a
-fourth-order Gauss-Legendre Magnus step sampled at the slice's two Gauss
-points, and reduces the slice matrices of many wells at once.  The two routes
-share only that product (a plain 2x2 reduction, tested on its own) and
-potential evaluation; their step rules and sample points stay separate, so
-their agreement is a genuine cross-check and is kept that way on purpose.
+outward from the origin to both support edges, for one well or a batch of
+wells s V at energies E, assembles the reflection amplitude from their
+boundary values, and provides an independent transfer-matrix route that
+yields both r and t.  The equation is linear, so one RK4 step is an exact 2x2
+matrix on (psi, psi'); every RK4 integration here, recorded shots included, is
+the ordered product of those step matrices.  The transfer route crosses the
+support in equal slices, each a fourth-order Gauss-Legendre Magnus step
+sampled at the slice's two Gauss points, and reduces the slice matrices of
+many wells at once.  The two routes share only that product (a plain 2x2
+reduction, tested on its own) and potential evaluation; their step rules and
+sample points stay separate, so their agreement is a genuine cross-check and
+is kept that way on purpose.
 
 Edge sampling: kinds with a jump at the support edge (square and
 square-triangular profiles are defined on open/closed intervals) must never be
 sampled *at* the edge by an integration stage, or the final Runge-Kutta stage
 averages across the jump and ruins the order of the method.  All integration
-grids therefore sample their outermost nodes at the interior one-sided limit,
+grids therefore sample their edge nodes at the interior one-sided limit,
 nudged inward by 1e-9 of the support span.  Pointwise evaluation through
 :func:`halfbound.potentials.evaluate` is unaffected.
 
 Energies: the assemblers require E > 0; integration itself is valid at E = 0
-(used for half-bound-state shooting) and performs no regularization there.
+(used for the critical search) and performs no regularization there.
 """
 
 from __future__ import annotations
@@ -49,6 +51,7 @@ __all__ = [
     "count_nodes",
     "default_step",
     "integrate_uv",
+    "integrate_uv_batch",
     "reflection_wronskian",
     "shoot",
     "transfer_matrix_batch",
@@ -164,35 +167,19 @@ def _step(p: Potential, cfg: GridConfig) -> float:
     return h
 
 
-def _grid_samples(p: Potential, x0: float, x1: float, n: int) -> tuple[np.ndarray, np.ndarray, float]:
-    """Potential at nodes/midpoints of an n-step grid x0 -> x1.
+def _grid_samples(p: Potential, edge: float, h_target: float) -> tuple[np.ndarray, np.ndarray, float]:
+    """Potential at nodes/midpoints of the grid origin -> edge, of n >= 16 steps at most h_target.
 
-    The outermost node samples are nudged to the interior one-sided limit.
-    Returns (V_nodes, V_midpoints, h) with h signed.
+    The edge node sample is nudged to the interior one-sided limit; returns
+    (V_nodes, V_midpoints, h) with h signed.
     """
-    h = (x1 - x0) / n
-    nodes = x0 + h * np.arange(n + 1)
-    nodes[-1] = x1
-    mids = x0 + h * (np.arange(n) + 0.5)
+    n = max(int(math.ceil(abs(edge) / h_target)), 16)
+    h = edge / n
+    nodes = h * np.arange(n + 1)
     lo, hi = p.support
-    eps = EDGE_FRACTION * max(hi - lo, 1.0)
-    inward = -eps if x1 >= x0 else eps
-    nodes[-1] += inward
-    if abs(x0 - lo) < eps or abs(x0 - hi) < eps:
-        nodes[0] -= inward
+    nodes[-1] = edge - math.copysign(EDGE_FRACTION * max(hi - lo, 1.0), edge)
+    mids = h * (np.arange(n) + 0.5)
     return potentials.evaluate(p, nodes), potentials.evaluate(p, mids), h
-
-
-def _traverse(p: Potential, cfg: GridConfig):
-    """Grids of a left edge -> right edge traverse with a node at the origin.
-
-    Yields (x0, V_nodes, V_midpoints, h) for the segments -L2 -> 0 and 0 -> L1.
-    """
-    lo, hi = potentials.support_bounds(p, cfg.tail_tol)
-    h_target = _step(p, cfg)
-    for x0, x1 in ((lo, 0.0), (0.0, hi)):
-        n = max(int(math.ceil((x1 - x0) / h_target)), 16)
-        yield (x0, *_grid_samples(p, x0, x1, n))
 
 
 def _mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -226,14 +213,14 @@ def _prefix_products(mats: np.ndarray) -> np.ndarray:
     return mats
 
 
-def _rk4_steps(gn: np.ndarray, gm: np.ndarray, h: float, scale=1.0):
-    """Classical RK4 step matrices of psi'' = g psi, in chunks along the grid.
+def _rk4_steps(vn: np.ndarray, vm: np.ndarray, h: float, scale=1.0, E=0.0):
+    """Classical RK4 step matrices of psi'' = (s V - E) psi, in chunks along the grid.
 
-    ``gn`` holds g at the n + 1 grid nodes and ``gm`` at the n midpoints.  Each
-    chunk is multiplied by ``scale`` (a scalar, or one batch axis of depths) and
-    laid out (2, 2, *batch, steps); matrix i maps (psi, psi') at node i to node
-    i + 1 exactly as one RK4 step of width h does.  With a, b, c = g at node i,
-    the midpoint and node i + 1 that matrix is
+    ``vn`` holds V at the n + 1 grid nodes and ``vm`` at the n midpoints;
+    ``scale`` (s) and ``E`` are scalars or arrays of one batch shape.  Each
+    chunk holds min(n, _CHUNK) steps, laid out (2, 2, *batch, steps); matrix i
+    maps (psi, psi') at node i to node i + 1 exactly as one RK4 step of width h
+    does.  With a, b, c = g at node i, the midpoint and node i + 1 that matrix is
 
         [[1 + h^2 (a + 2b)/6 + h^4 ab/24,                  h + h^3 b/6                  ],
          [h (a + 4b + c)/6 + h^3 b (a + c)/12,   1 + h^2 (2b + c)/6 + h^4 bc/24]],
@@ -241,16 +228,15 @@ def _rk4_steps(gn: np.ndarray, gm: np.ndarray, h: float, scale=1.0):
     evaluated below in the variables A, B, C = h^2/6 times a, b, c.
     """
     s = np.asarray(scale, dtype=float)[..., None]
-    width = max(_CHUNK // s.size, 1)
+    e = np.asarray(E, dtype=float)[..., None]
     h6 = h * h / 6.0
-    gn = gn * h6
-    gm = gm * h6
-    n = gm.shape[0]
+    n = vm.shape[0]
+    width = min(n, _CHUNK)
     for i in range(0, n, width):
         j = min(i + width, n)
-        A = s * gn[i:j]
-        B = s * gm[i:j]
-        C = s * gn[i + 1:j + 1]
+        G = (s * vn[i:j + 1] - e) * h6
+        A, C = G[..., :-1], G[..., 1:]
+        B = (s * vm[i:j] - e) * h6
         m = np.empty((2, 2) + B.shape)
         m[0, 0] = 1.0 + A + B * (2.0 + 1.5 * A)
         m[0, 1] = h * (1.0 + B)
@@ -259,28 +245,72 @@ def _rk4_steps(gn: np.ndarray, gm: np.ndarray, h: float, scale=1.0):
         yield m
 
 
-def _rk4_product(gn: np.ndarray, gm: np.ndarray, h: float, scale=1.0) -> tuple[np.ndarray, float]:
-    """Propagator across the whole grid of :func:`_rk4_steps`, and its drift.
+def _rk4_product(vn: np.ndarray, vm: np.ndarray, h: float, scale=1.0, E=0.0):
+    """Propagators across the whole grid of :func:`_rk4_steps`, and their drifts.
 
-    Returns (P, drift): P is (2, 2, *batch), and drift is the largest
-    |det(M_i ... M_0) - 1| over all steps (and the batch), which is the
-    wronskian drift of the fundamental pair the columns of P hold.
+    Returns (P, drift): P is (2, 2, *batch), and drift, of the batch shape, is
+    each row's largest |det(M_i ... M_0) - 1| over all steps, which is the
+    wronskian drift of the fundamental pair the columns of P hold.  Rows go
+    through in blocks of _CHUNK // min(n, _CHUNK), so a row's chunks depend on
+    the step count alone and every row equals its one-row call bit for bit.
     """
-    total = np.eye(2).reshape((2, 2) + (1,) * np.ndim(scale))
-    det = 1.0
-    drift = 0.0
-    for m in _rk4_steps(gn, gm, h, scale):
-        total = _mul(_ordered_product(m), total)
-        dets = det * np.cumprod(m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0], axis=-1)
-        drift = max(drift, float(np.max(np.abs(dets - 1.0))))
-        det = dets[..., -1:]
-    return total, drift
+    s, e = np.broadcast_arrays(np.asarray(scale, dtype=float), np.asarray(E, dtype=float))
+    batch = s.shape
+    s, e = s.ravel(), e.ravel()
+    rows = max(_CHUNK // min(vm.shape[0], _CHUNK), 1)
+    P = np.empty((2, 2, s.size))
+    drift = np.empty(s.size)
+    for b in range(0, s.size, rows):
+        total = np.eye(2)[..., None]
+        det = 1.0
+        worst = 0.0
+        for m in _rk4_steps(vn, vm, h, s[b:b + rows], e[b:b + rows]):
+            total = _mul(_ordered_product(m), total)
+            dets = det * np.cumprod(m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0], axis=-1)
+            worst = np.maximum(worst, np.max(np.abs(dets - 1.0), axis=-1))
+            det = dets[..., -1:]
+        P[..., b:b + rows] = total
+        drift[b:b + rows] = worst
+    return P.reshape((2, 2) + batch), drift.reshape(batch)[()]
 
 
-def _side(p: Potential, E: float, edge: float, h_target: float) -> tuple[np.ndarray, float]:
-    n = max(int(math.ceil(abs(edge) / h_target)), 16)
-    vn, vm, h = _grid_samples(p, 0.0, edge, n)
-    return _rk4_product(vn - E, vm - E, h)
+def integrate_uv_batch(p: Potential, energies, cfg: GridConfig | None = None, scales=1.0) -> list[BoundaryData]:
+    """:func:`integrate_uv` for every row of broadcast (energies, scales).
+
+    A row takes the well s V at energy E; the rows share one support and one
+    grid and are reduced together.  Rows whose wronskian drift is above 1e-8
+    are redone at half the step (up to 6 times), so every row, its drift
+    included, equals the one-row call bit for bit.
+    """
+    cfg = cfg or GridConfig()
+    lo, hi = potentials.support_bounds(p, cfg.tail_tol)
+    if hi <= 0.0 or lo >= 0.0:
+        raise ValueError(f"degenerate support {p.support} (origin must be interior)")
+    Es, ss = np.broadcast_arrays(np.asarray(energies, dtype=float), np.asarray(scales, dtype=float))
+    Es, ss = Es.ravel(), ss.ravel()
+    out = [None] * Es.size
+    todo = np.arange(Es.size)
+    h = _step(p, cfg)
+    for _ in range(_MAX_HALVINGS + 1):
+        right, d1 = _rk4_product(*_grid_samples(p, hi, h), ss[todo], Es[todo])
+        left, d2 = _rk4_product(*_grid_samples(p, lo, h), ss[todo], Es[todo])
+        drift = np.maximum(d1, d2)
+        ok = drift <= DRIFT_TOL
+        for i in np.flatnonzero(ok):
+            # columns of each propagator are (u, u') and (v, v')
+            (u1, v1), (u1p, v1p) = right[..., i].tolist()
+            (u2, v2), (u2p, v2p) = left[..., i].tolist()
+            E = float(Es[todo[i]])
+            out[todo[i]] = BoundaryData(
+                u1=u1, v1=v1, u1p=u1p, v1p=v1p,
+                u2=u2, v2=v2, u2p=u2p, v2p=v2p,
+                E=E, k=math.sqrt(E) if E > 0.0 else 0.0, L1=hi, L2=-lo, wronskian_drift=float(drift[i]),
+            )
+        if ok.all():
+            return out
+        todo, worst = todo[~ok], np.max(drift[~ok])
+        h *= 0.5
+    raise IntegrationError(f"wronskian drift {worst:.3e} above {DRIFT_TOL:g} after {_MAX_HALVINGS} step halvings")
 
 
 def integrate_uv(p: Potential, E: float, cfg: GridConfig | None = None) -> BoundaryData:
@@ -289,29 +319,23 @@ def integrate_uv(p: Potential, E: float, cfg: GridConfig | None = None) -> Bound
     The step is halved (up to 6 times) until the wronskian drift is at most
     1e-8; exceeding that after refinement raises :class:`IntegrationError`.
     """
-    cfg = cfg or GridConfig()
-    lo, hi = potentials.support_bounds(p, cfg.tail_tol)
-    if hi <= 0.0 or lo >= 0.0:
-        raise ValueError(f"degenerate support {p.support} (origin must be interior)")
-    h = _step(p, cfg)
-    for _ in range(_MAX_HALVINGS + 1):
-        right, d1 = _side(p, E, hi, h)
-        left, d2 = _side(p, E, lo, h)
-        drift = max(d1, d2)
-        if drift <= DRIFT_TOL:
-            # columns of each propagator are (u, u') and (v, v')
-            (u1, v1), (u1p, v1p) = right.tolist()
-            (u2, v2), (u2p, v2p) = left.tolist()
-            k = math.sqrt(E) if E > 0.0 else 0.0
-            return BoundaryData(
-                u1=u1, v1=v1, u1p=u1p, v1p=v1p,
-                u2=u2, v2=v2, u2p=u2p, v2p=v2p,
-                E=E, k=k, L1=hi, L2=-lo, wronskian_drift=drift,
-            )
-        h *= 0.5
-    raise IntegrationError(
-        f"wronskian drift {drift:.3e} above {DRIFT_TOL:g} after {_MAX_HALVINGS} step halvings"
-    )
+    return integrate_uv_batch(p, E, cfg)[0]
+
+
+def _path(p: Potential, E: float, edge: float, h_target: float, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes of the origin -> edge grid and the RK4 states on them.
+
+    ``y`` holds start states at the origin as columns, (2, k); the states come
+    back as (2, k, n + 1), so y = I gives the prefix products themselves.
+    """
+    vn, vm, h = _grid_samples(p, edge, h_target)
+    xs = np.append(h * np.arange(vm.size), edge)
+    states = [y[..., None]]
+    for m in _rk4_steps(vn, vm, h, E=E):
+        prefix = _prefix_products(m)
+        y = states[-1][..., -1]
+        states.append(prefix[:, 0, None] * y[0, :, None] + prefix[:, 1, None] * y[1, :, None])
+    return xs, np.concatenate(states, axis=-1)
 
 
 def shoot(
@@ -322,27 +346,26 @@ def shoot(
     cfg: GridConfig | None = None,
     record: bool = False,
 ):
-    """Integrate one solution left edge -> right edge with given start values.
+    """Integrate one solution across the support from given values at x = -L2.
 
-    Starts at x = -L2 and crosses the well in two segments with a grid node
-    exactly at the origin.  Returns (psi_L1, dpsi_L1) or, with ``record``,
-    (xs, psi, dpsi) as numpy arrays over the whole traverse.
+    Both sides run from the origin outwards on the grids of integrate_uv (no
+    halving).  The left side's last prefix product P_L maps the origin state
+    y0 = (v2' psi0 - v2 dpsi0, u2 dpsi0 - u2' psi0) to (psi0, dpsi0) at -L2.
+    Returns (psi_L1, dpsi_L1) or, with ``record``, (xs, psi, dpsi) as numpy
+    arrays from -L2 to L1.
     """
-    y = np.array([float(psi0), float(dpsi0)])
-    xs, states = [], [y[:, None]]
-    for x0, vn, vm, h in _traverse(p, cfg or GridConfig()):
-        if not record:
-            y = _rk4_product(vn - E, vm - E, h)[0] @ y
-            continue
-        xs.append(x0 + h * np.arange(1 if xs else 0, vm.size + 1))
-        for m in _rk4_steps(vn - E, vm - E, h):
-            prefix = _prefix_products(m)
-            states.append(prefix[:, 0] * y[0] + prefix[:, 1] * y[1])
-            y = states[-1][:, -1]
-    if record:
-        psi, dpsi = np.concatenate(states, axis=1)
-        return np.concatenate(xs), psi, dpsi
-    return float(y[0]), float(y[1])
+    cfg = cfg or GridConfig()
+    lo, hi = potentials.support_bounds(p, cfg.tail_tol)
+    h = _step(p, cfg)
+    xl, left = _path(p, E, lo, h, np.eye(2))
+    (u2, v2), (u2p, v2p) = left[..., -1].tolist()
+    y0 = np.array([[v2p * psi0 - v2 * dpsi0], [u2 * dpsi0 - u2p * psi0]])
+    left = left[:, 0] * y0[0] + left[:, 1] * y0[1]
+    xr, right = _path(p, E, hi, h, y0)
+    if not record:
+        return float(right[0, 0, -1]), float(right[1, 0, -1])
+    psi, dpsi = np.concatenate([left[:, :0:-1], right[:, 0]], axis=-1)
+    return np.concatenate([xl[:0:-1], xr]), psi, dpsi
 
 
 def reflection_wronskian(bd: BoundaryData) -> ScatterResult:

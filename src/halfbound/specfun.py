@@ -18,7 +18,8 @@ principles:
   <= 6e-10 at z = 24 and <= 6e-7 at z = 29; real orders stay within 1e-12
   absolute up to z = 20 and 2e-8 at z = 30.
 * ``bessel_y01`` -- Neumann functions Y0, Y1 from the standard logarithmic
-  series in double precision: 5e-13 absolute at z = 12, 2e-9 at z = 20.
+  series, also summed in extended precision.  Against 40-digit mpmath: 2e-16
+  absolute up to z = 12, 6e-13 at z = 20, 6e-11 at z = 24, 1e-8 at z = 30.
 * ``bessel_zero`` -- zeros of J0/J1 by McMahon initial guesses plus Brent
   polish.
 
@@ -171,45 +172,34 @@ def bessel_j_prime(nu: complex, z: float) -> complex | float:
 
 
 def bessel_y01(order: int, z: float) -> float:
-    """Neumann functions Y0(z) or Y1(z) from the logarithmic series."""
+    """Neumann functions Y0(z) or Y1(z) from the logarithmic series, summed in
+    extended precision with harmonic numbers H_m:
+
+        (pi/2) Y0 = (ln(z/2) + gamma) J0 - S/2,
+        (pi/2) Y1 = (ln(z/2) + gamma) J1 - 1/z - (z/4) S,
+        S = sum_m (H_m + H_{m+order}) (-z^2/4)^m / (m! (m+order)!).
+    """
     if order not in (0, 1):
         raise ValueError(f"order must be 0 or 1, got {order}")
     if z <= 0.0:
         raise ValueError(f"argument must be positive, got z = {z}")
-    logterm = math.log(0.5 * z) + EULER_GAMMA
-    w = 0.25 * z * z
-    if order == 0:
-        j0 = bessel_j(0.0, z)
-        # sum_{m>=1} (-1)^(m+1) H_m w^m / (m!)^2
-        u = 1.0
-        h = 0.0
-        total = 0.0
-        for m in range(1, _SERIES_CAP + 1):
-            u *= w / (m * m)
-            h += 1.0 / m
-            term = (-1.0) ** (m + 1) * h * u
-            total += term
-            if abs(term) <= _SERIES_RTOL * max(abs(total), 1e-300):
-                break
-        else:
-            raise ConvergenceError(f"Y0 series did not converge for z={z}")
-        return (2.0 / math.pi) * (logterm * j0 + total)
-    j1 = bessel_j(1.0, z)
-    # sum_{m>=0} (H_m + H_{m+1}) (-w)^m / (m! (m+1)!)
-    u = 1.0
-    h = 0.0
-    total = 0.0
-    for m in range(0, _SERIES_CAP + 1):
-        if m > 0:
-            u *= -w / (m * (m + 1))
-            h += 1.0 / m
-        term = (h + h + 1.0 / (m + 1)) * u
-        total += term
-        if m > 0 and abs(term) <= _SERIES_RTOL * max(abs(total), 1e-300):
+    w = np.longdouble(0.25 * z) * np.longdouble(z)
+    u = np.longdouble(1.0)
+    h = np.longdouble(0.0)
+    total = np.longdouble(order)  # the m = 0 term
+    for m in _M:
+        u = -u * w / (m * (m + order))
+        h = h + 1 / m
+        term = (h + h + order / (m + 1)) * u
+        total = total + term
+        if abs(term) <= _SERIES_RTOL * abs(total):
             break
     else:
-        raise ConvergenceError(f"Y1 series did not converge for z={z}")
-    return (2.0 / math.pi) * (logterm * j1 - 1.0 / z - 0.25 * z * total)
+        raise ConvergenceError(f"Y{order} series did not converge for z={z}")
+    logterm = math.log(0.5 * z) + EULER_GAMMA
+    if order == 0:
+        return (2.0 / math.pi) * (logterm * bessel_j(0.0, z) - 0.5 * float(total))
+    return (2.0 / math.pi) * (logterm * bessel_j(1.0, z) - 1.0 / z - 0.25 * z * float(total))
 
 
 def bessel_zero(order: int, n: int) -> float:

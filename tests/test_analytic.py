@@ -89,10 +89,10 @@ class TestExponentialWellExact:
 
     def test_near_critical_threshold_suppression(self):
         assert abs(an.exp_well_r_exact(1e-5, J01 * J01, 1.0)) ** 2 == pytest.approx(
-            1.8881479149127027e-06, rel=1e-8
+            1.8881479149127027e-06, rel=1e-8, abs=0
         )
         assert abs(an.exp_well_r_exact(1e-8, J01 * J01, 1.0)) ** 2 == pytest.approx(
-            1.8881962721148497e-09, rel=1e-6
+            1.8881962721148497e-09, rel=1e-6, abs=0
         )
 
     def test_generic_threshold_full_reflection(self):

@@ -26,6 +26,27 @@ def exp_family():
 
 
 class TestMismatch:
+    @pytest.mark.parametrize("fam_name, qs", [("square_family", (1.0, math.pi / 2.0, 2.9)), ("exp_family", (2.0, J01, 4.4))])
+    def test_is_the_saturation_determinant(self, request, fam_name, qs):
+        fam = request.getfixturevalue(fam_name)
+        for q in qs:
+            bd = sc.integrate_uv(fam.at(q), 0.0)
+            assert cr.hbs_mismatch(fam, q) == bd.u1p * bd.v2p - bd.v1p * bd.u2p
+
+    @pytest.mark.parametrize("fam_name, bracket", [("square_family", (1.4, 1.8)), ("exp_family", (2.2, 2.6))])
+    def test_found_root_meets_the_threshold_condition(self, request, fam_name, bracket):
+        fam = request.getfixturevalue(fam_name)
+        res = cr.find_critical_q(fam, bracket)
+        # raises NoHalfBoundStateError unless the saturation condition holds
+        r0 = sc.threshold_limit_r(sc.integrate_uv(fam.at(res.q_c), 0.0))
+        assert abs(r0) <= 1e-6  # symmetric wells: R(0) = 0
+
+    def test_batch_follows_single_mismatch(self, exp_family):
+        qs = np.linspace(1.0, 6.0, 11)
+        batch = cr._mismatch_batch(exp_family, qs, None)
+        single = np.array([cr.hbs_mismatch(exp_family, q) for q in qs])
+        np.testing.assert_allclose(batch, single, rtol=1e-9, atol=0)
+
     def test_zero_at_square_critical(self, square_family):
         assert abs(cr.hbs_mismatch(square_family, math.pi / 2.0)) < 1e-8
 

@@ -180,6 +180,76 @@ class TestRk4Kernel:
             np.testing.assert_allclose(P[..., i], np.column_stack([u, v]), rtol=1e-13, atol=1e-13)
 
 
+#: One well of every kind with a pointwise value.
+POINTWISE = [
+    ("SquareWell", {"V0": 3.0, "a": 1.0}),
+    ("ExponentialWell", {"V0": 5.76, "a": 1.0}),
+    ("SolitonWell", {"nu": 2.5}),
+    ("ParabolicWell", {"V0": 4.0, "a": 1.0, "b": 1.1}),
+    ("SquareTriangular", {"V0": 3.0, "a": 1.0, "alpha": 0.5}),
+    ("Sin2Multiwell", {"V0": 19.0, "a": 1.0, "m": 2}),
+]
+
+
+class TestIntegrateUvBatch:
+    """Every row of a batch equals its one-row call, field for field."""
+
+    @pytest.mark.parametrize("chunk", [sc._CHUNK, 7, 40])
+    @pytest.mark.parametrize("kind, params", POINTWISE)
+    def test_energy_rows_equal_single_calls(self, monkeypatch, chunk, kind, params):
+        monkeypatch.setattr(sc, "_CHUNK", chunk)
+        p, cfg = pot.make_potential(kind, params), sc.GridConfig(step=0.01)
+        energies = [1e-5, 0.3, 4.0]
+        rows = sc.integrate_uv_batch(p, energies, cfg)
+        assert rows == [sc.integrate_uv(p, E, cfg) for E in energies]
+
+    @pytest.mark.parametrize("chunk", [sc._CHUNK, 7, 40])
+    @pytest.mark.parametrize("kind, params", POINTWISE)
+    def test_scale_rows_equal_single_calls(self, monkeypatch, chunk, kind, params):
+        monkeypatch.setattr(sc, "_CHUNK", chunk)
+        p, cfg = pot.make_potential(kind, params), sc.GridConfig(step=0.01)
+        scales = np.array([0.5, 1.0, 2.5])
+        rows = sc.integrate_uv_batch(p, 0.0, cfg, scales)
+        assert rows == [sc.integrate_uv_batch(p, 0.0, cfg, s)[0] for s in scales]
+        assert rows[1] == sc.integrate_uv(p, 0.0, cfg)
+        # a scaled row is the boundary data of the well s V, to rounding
+        deeper = sc.integrate_uv(pot.make_potential(kind, {**params, **_depth_times(params, 2.5)}), 0.0, cfg)
+        assert rows[2].u1 == pytest.approx(deeper.u1, rel=1e-9, abs=0)
+        assert rows[2].v1p == pytest.approx(deeper.v1p, rel=1e-9, abs=0)
+
+    def test_rows_with_different_halvings_share_a_batch(self):
+        p = _well("SquareWell", V0=3.0, a=1.0)
+
+        def single(E, halvings):
+            return sc.integrate_uv(p, E, sc.GridConfig(step=0.05 / 2**halvings))
+
+        low, high = sc.integrate_uv_batch(p, [0.01, 400.0], sc.GridConfig(step=0.05))
+        # E = 0.01 is accepted after one halving, E = 400 after five
+        assert low == single(0.01, 0) == single(0.01, 1)
+        assert low != single(0.01, 2)
+        assert high == single(400.0, 0) == single(400.0, 5)
+        assert high != single(400.0, 6)
+        assert max(low.wronskian_drift, high.wronskian_drift) <= sc.DRIFT_TOL
+
+    def test_raises_when_one_row_runs_out_of_halvings(self):
+        p = _well("SquareWell", V0=400.0, a=1.0)
+        with pytest.raises(sc.IntegrationError):
+            sc.integrate_uv_batch(p, [0.1, 1.0], sc.GridConfig(step=0.2))
+
+    def test_broadcast_shape_and_empty(self):
+        p = _well("SquareWell", V0=3.0, a=1.0)
+        assert len(sc.integrate_uv_batch(p, [0.1, 0.2], scales=np.ones((3, 1)))) == 6
+        assert sc.integrate_uv_batch(p, []) == []
+
+
+def _depth_times(params, factor):
+    """The depth parameter of ``params`` scaled by ``factor`` (nu solves nu (nu - 1) = d)."""
+    if "nu" in params:
+        d = factor * params["nu"] * (params["nu"] - 1.0)
+        return {"nu": 0.5 + math.sqrt(0.25 + d)}
+    return {"V0": factor * params["V0"]}
+
+
 class TestOrderedProduct:
     @pytest.mark.parametrize("batch", [(), (3,)])
     @pytest.mark.parametrize("n", [1, 2, 7, 8, 13])
@@ -382,6 +452,18 @@ class TestShootAndNodes:
         xs, psi, dpsi = sc.shoot(p, 0.0, record=True)
         assert np.min(np.abs(xs)) == 0.0
         assert xs.shape == psi.shape == dpsi.shape
+
+    @pytest.mark.parametrize("kind, params", POINTWISE)
+    @pytest.mark.parametrize("E", [0.0, 0.7])
+    def test_shoot_reproduces_its_start_values(self, kind, params, E):
+        p = pot.make_potential(kind, params)
+        xs, psi, dpsi = sc.shoot(p, E, 0.3, -1.2, record=True)
+        lo, hi = pot.support_bounds(p)
+        assert (xs[0], xs[-1]) == (lo, hi)
+        assert np.all(np.diff(xs) > 0.0)
+        assert abs(psi[0] - 0.3) <= 1e-12
+        assert abs(dpsi[0] + 1.2) <= 1e-12
+        assert sc.shoot(p, E, 0.3, -1.2) == (psi[-1], dpsi[-1])
 
     @pytest.mark.parametrize("step", [0.0, -0.01])
     def test_shoot_rejects_nonpositive_step(self, step):

@@ -149,6 +149,17 @@ class TestNeumann:
         with pytest.raises(ValueError):
             sf.bessel_y01(2, 1.0)
 
+    @pytest.mark.parametrize(
+        "z, tol",
+        [(0.5, 1e-15), (2.4, 1e-15), (5.0, 1e-15), (10.0, 1e-15), (12.0, 1e-15),
+         (20.0, 2e-12), (24.0, 2e-10), (29.0, 3e-8), (30.0, 3e-8)],
+    )
+    def test_against_mpmath(self, z, tol):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(40):
+            for order in (0, 1):
+                assert abs(sf.bessel_y01(order, z) - float(mpmath.bessely(order, z))) <= tol
+
 
 class TestZeros:
     @pytest.mark.parametrize(
