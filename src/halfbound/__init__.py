@@ -45,7 +45,6 @@ from .potentials import (
     from_descriptor,
     make_family,
     make_potential,
-    support_bounds,
 )
 from .scatter import (
     BoundaryData,
@@ -102,7 +101,6 @@ __all__ = [
     "square_well_R",
     "square_well_R0_limit",
     "square_well_hbs",
-    "support_bounds",
     "threshold_limit_r",
     "transfer_matrix_batch",
     "transfer_matrix_rt",

@@ -46,6 +46,9 @@ CRITICAL_TOL = 1e-12
 #: Validity window of the small-energy exponential-well form, in ka.
 THRESHOLD_KA_MAX = 0.05
 
+#: Largest q = a sqrt(V0) of the exponential-well forms (series cancellation).
+Q_MAX = 30.0
+
 
 class ValidityError(ValueError):
     """Input lies outside a formula's validity window."""
@@ -114,30 +117,29 @@ def square_well_hbs(n: int, a: float, x_samples) -> np.ndarray:
 def exp_well_r_exact(E: float, V0: float, a: float) -> complex:
     """Exact reflection amplitude of the exponentially decaying well, E > 0.
 
-    r = -(1/2) (q/2)^(-2ika) [Gamma(1+ika)/Gamma(1-ika)]
-        * [J_{ika}(q)/J_{-ika}(q) + J'_{ika}(q)/J'_{-ika}(q)],  q = a sqrt(V0).
-
-    For real q, J_{-ika}(q) is the complex conjugate of J_{ika}(q), and so is
-    J'; one pass of the series gives J and J' together.  Both Bessel ratios
-    therefore have unit modulus, so |r| <= 1 up to rounding.
+    The source formula, with q = a sqrt(V0),
+        r = -(1/2) (q/2)^(-2ika) [Gamma(1+ika)/Gamma(1-ika)]
+            * [J_{ika}(q)/J_{-ika}(q) + J'_{ika}(q)/J'_{-ika}(q)],
+    keeps none of its prefactors.  With J_{ika}(q) = P S, J'_{ika}(q) = P S'/q,
+    P = (q/2)^(ika)/Gamma(1+ika) and (S, S') from :func:`specfun.bessel_series`,
+    J_{-ika}(q) = conj(P S) for real q, and P/conj(P) cancels the prefactor:
+        r = -(1/2) (S/conj S + S'/conj S'),   R = cos^2(arg S - arg S').
+    As E -> 0, S -> J0(q) and S' -> -q J1(q) are real, so R(0) = 1 unless J0
+    or J1 vanishes; there that sum is O(ka) and imaginary, and R(0) = 0: the
+    critical strengths (odd and even half-bound state) read off the formula.
     """
     if E <= 0.0:
         raise ValueError(f"E must be positive, got {E}")
     if V0 <= 0.0 or a <= 0.0:
         raise ValueError(f"V0 and a must be positive, got V0={V0}, a={a}")
     q = a * math.sqrt(V0)
-    if q > 30.0:
-        raise ValidityError(f"series evaluation needs q <= 30, got q = {q:g}")
-    ika = 1j * math.sqrt(E) * a
-    j = specfun.bessel_j(ika, q)
-    jp = specfun.bessel_j_prime(ika, q)
-    if abs(j) < 1e-14 or abs(jp) < 1e-14:
+    if q > Q_MAX:
+        raise ValidityError(f"series evaluation needs q <= {Q_MAX:g}, got q = {q:g}")
+    s, ds = specfun.bessel_series(1j * math.sqrt(E) * a, q)
+    # |J| = |S|/|Gamma(1+ika)| >= |S|, and likewise |J'| >= |S'|/q
+    if abs(s) < 1e-14 or abs(ds) < 1e-14 * q:
         raise DegeneracyError("Bessel denominator numerically zero; retry with perturbed E")
-    ratio = j / j.conjugate() + jp / jp.conjugate()
-    pref = cmath.exp(-2.0 * ika * math.log(0.5 * q)) * (
-        specfun.gamma_complex(1.0 + ika) / specfun.gamma_complex(1.0 - ika)
-    )
-    return -0.5 * pref * ratio
+    return -0.5 * complex(s / np.conj(s) + ds / np.conj(ds))
 
 
 def exp_well_r_threshold(E: float, V0: float, a: float) -> complex:
@@ -149,7 +151,7 @@ def exp_well_r_threshold(E: float, V0: float, a: float) -> complex:
     Gamma(1-ika) is kept exactly: it is pure phase but of first order in ka,
     so dropping it would cost O(ka) amplitude accuracy.
 
-    Valid for 0 < ka <= 0.05.
+    Valid for 0 < ka <= 0.05 and q <= 30, the window of the exact form.
     """
     if E <= 0.0:
         raise ValueError(f"E must be positive, got {E}")
@@ -159,6 +161,8 @@ def exp_well_r_threshold(E: float, V0: float, a: float) -> complex:
     if ka > THRESHOLD_KA_MAX:
         raise ValidityError(f"small-energy form valid for ka <= {THRESHOLD_KA_MAX}, got ka = {ka:g}")
     q = a * math.sqrt(V0)
+    if q > Q_MAX:
+        raise ValidityError(f"series evaluation needs q <= {Q_MAX:g}, got q = {q:g}")
     c = 1j * ka * 0.5 * math.pi
     j0 = specfun.bessel_j(0.0, q)
     j1 = specfun.bessel_j(1.0, q)
@@ -176,30 +180,31 @@ def exp_well_r_threshold(E: float, V0: float, a: float) -> complex:
 def exp_well_bound_states(q: float, a: float = 1.0) -> BoundSpectrum:
     """Bound spectrum of the exponentially decaying well.
 
-    Even-parity levels are roots (in the order kappa*a) of J'_{kappa a}(q) = 0,
-    odd-parity levels of J_{kappa a}(q) = 0, with 0 < kappa*a < q; each root is
-    bracketed on a 0.01 grid and bisected to 1e-12.  E_n = -(kappa_n)^2.
+    Even-parity levels are roots (in the order rho = kappa*a) of J'_rho(q),
+    odd-parity levels of J_rho(q), with 0 < rho < q: the roots of the sums S'
+    and S of :func:`specfun.bessel_series`, since the prefactor
+    (q/2)^rho/Gamma(rho+1) is positive.  One pass per point of a 0.01 grid
+    brackets both; each root is bisected to 1e-12.  E_n = -(kappa_n)^2.
     Order-roots below the grid floor are threshold states, not bound states,
     and are excluded.
     """
-    if not (0.0 < q <= 30.0):
-        raise ValueError(f"q must lie in (0, 30], got {q}")
+    if not (0.0 < q <= Q_MAX):
+        raise ValueError(f"q must lie in (0, {Q_MAX:g}], got {q}")
     if a <= 0.0:
         raise ValueError(f"a must be positive, got {a}")
-    levels: list[tuple[float, str]] = []
     step = 0.01
-    for parity, fn in (
-        ("even", lambda rho: specfun.bessel_j_prime(rho, q)),
-        ("odd", lambda rho: specfun.bessel_j(rho, q)),
-    ):
-        grid = np.arange(0.5 * step, q + 0.5 * step, step)
-        grid = grid[grid <= q]
-        vals = [fn(float(g)) for g in grid]
+    grid = np.arange(0.5 * step, q + 0.5 * step, step)
+    grid = grid[grid <= q].tolist()
+    sums = [specfun.bessel_series(g, q) for g in grid]
+    levels: list[tuple[float, str]] = []
+    for parity, which in (("even", 1), ("odd", 0)):
+        vals = [float(pair[which]) for pair in sums]
         for i in range(len(grid) - 1):
             if vals[i] == 0.0:
-                root = float(grid[i])
+                root = grid[i]
             elif vals[i] * vals[i + 1] < 0.0:
-                root = brentq(fn, float(grid[i]), float(grid[i + 1]), xtol=1e-12, rtol=8.9e-16)
+                root = brentq(lambda rho: float(specfun.bessel_series(rho, q)[which]),
+                              grid[i], grid[i + 1], xtol=1e-12, rtol=8.9e-16)
             else:
                 continue
             kappa = root / a

@@ -58,15 +58,12 @@ def _load_descriptor(text: str) -> dict:
 
 
 def _grid_config(args) -> scatter.GridConfig:
-    return scatter.GridConfig(
-        step=args.step,
-        n_slices=args.slices,
-        tail_tol=args.tail_tol,
-    )
+    return scatter.GridConfig(step=args.step, n_slices=args.slices)
 
 
-def _grid_metadata(cfg: scatter.GridConfig) -> dict:
-    return {"step": cfg.step, "n_slices": cfg.n_slices, "tail_tol": cfg.tail_tol}
+def _grid_metadata(args) -> dict:
+    """Grid settings echoed into every output; ``tail_tol`` is the well's own."""
+    return {"step": args.step, "n_slices": args.slices, "tail_tol": args.tail_tol}
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -127,7 +124,7 @@ def cmd_reflect(args) -> int:
         "R": res.R,
         "T": res.T,
         "unitarity_residual": res.unitarity_residual,
-        "grid": _grid_metadata(cfg),
+        "grid": _grid_metadata(args),
     }
     _emit(json.dumps(payload, sort_keys=True, indent=2) + "\n", args.out)
     return 0
@@ -164,7 +161,7 @@ def cmd_scan_q(args) -> int:
         "axis": "q",
         "fixed_E": args.energy,
         "method": args.method,
-        "grid": _grid_metadata(cfg),
+        "grid": _grid_metadata(args),
     }
     text = _csv_text(meta, ["q", "R"], list(zip(qs, Rs)))
     minima = _minima(qs, Rs, functools.partial(_R_at_strength, family, args.energy, args.method, cfg))
@@ -198,7 +195,7 @@ def cmd_scan_e(args) -> int:
         "axis": "E",
         "spacing": "log" if args.log else "linear",
         "method": args.method,
-        "grid": _grid_metadata(cfg),
+        "grid": _grid_metadata(args),
     }
     _emit(_csv_text(meta, ["E", "R"], list(zip(Es, Rs))), args.out)
     return 0
@@ -221,7 +218,7 @@ def cmd_find_qc(args) -> int:
         "parity": res.parity,
         "left_residual": res.left_residual,
         "right_residual": res.right_residual,
-        "grid": _grid_metadata(cfg),
+        "grid": _grid_metadata(args),
         "profile": [[float(x), float(y)] for x, y in profile],
     }
     _emit(json.dumps(payload, sort_keys=True, indent=2) + "\n", args.out)
@@ -248,7 +245,7 @@ def cmd_hbs_profile(args) -> int:
     meta = {
         "descriptor": family.descriptor(),
         "hbs": summary,
-        "grid": _grid_metadata(cfg),
+        "grid": _grid_metadata(args),
     }
     text = _csv_text(meta, ["x", "psi", "V"], list(zip(xs, psi, vs)))
     _emit(text, args.out)
@@ -321,7 +318,9 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--step", type=float, default=None, help="Runge-Kutta step (default min(a,1)/2000)")
         sp.add_argument("--slices", type=int, default=scatter.GridConfig.n_slices,
                         help="transfer-matrix slices, one fourth-order Magnus step each (default %(default)s)")
-        sp.add_argument("--tail-tol", type=float, default=potentials.DEFAULT_TAIL_TOL)
+        sp.add_argument("--tail-tol", type=float, default=potentials.DEFAULT_TAIL_TOL,
+                        help="decaying wells are cut where |V| falls to TAIL_TOL times the depth "
+                             "(default %(default)s)")
         sp.add_argument("--out", default=None, help="output file (default stdout)")
         sp.add_argument("--workers", type=int, default=1, help="accepted for compatibility; no effect (scans run in one process)")
 

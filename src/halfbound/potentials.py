@@ -45,7 +45,6 @@ __all__ = [
     "from_descriptor",
     "make_family",
     "make_potential",
-    "support_bounds",
 ]
 
 DEFAULT_TAIL_TOL = 1e-12
@@ -146,7 +145,9 @@ def depth(params: Mapping[str, float]):
 
 @dataclass(frozen=True)
 class Potential:
-    """An immutable catalogued well; construct through :func:`make_potential`."""
+    """An immutable catalogued well; construct through :func:`make_potential`.
+
+    Every numerical route integrates over ``support``, set by its tail_tol."""
 
     kind: str
     params: Mapping[str, float]
@@ -181,13 +182,6 @@ def make_potential(kind: str, params: Mapping[str, float], tail_tol: float = DEF
     q = clean["lambda"] if "lambda" in clean else a * math.sqrt(depth(clean))
     symmetric = clean.get("b", a) == a and clean.get("alpha", 0.0) == 0.0
     return Potential(kind=kind, params=clean, support=_TABLE[kind].edges(clean, tail_tol), symmetric=symmetric, q=q)
-
-
-def support_bounds(p: Potential, tail_tol: float = DEFAULT_TAIL_TOL) -> tuple[float, float]:
-    """Support edges (-L2, L1) outside which |V| <= tail_tol * V0."""
-    if not (0.0 < tail_tol < 1.0):
-        raise PotentialError(f"tail_tol must lie in (0, 1), got {tail_tol}")
-    return _TABLE[p.kind].edges(p.params, tail_tol)
 
 
 def evaluate(p: Potential, x):

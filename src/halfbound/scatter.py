@@ -102,13 +102,12 @@ class GridConfig:
     n_slices
         Transfer-matrix slice count; each slice is one fourth-order Magnus
         step sampled at its two Gauss points.
-    tail_tol
-        Relative truncation level for asymptotically decaying wells.
+
+    The support both routes cross is the well's own ``Potential.support``.
     """
 
     step: float | None = None
     n_slices: int = 1000
-    tail_tol: float = potentials.DEFAULT_TAIL_TOL
 
 
 @dataclass(frozen=True)
@@ -283,7 +282,7 @@ def integrate_uv_batch(p: Potential, energies, cfg: GridConfig | None = None, sc
     included, equals the one-row call bit for bit.
     """
     cfg = cfg or GridConfig()
-    lo, hi = potentials.support_bounds(p, cfg.tail_tol)
+    lo, hi = p.support
     if hi <= 0.0 or lo >= 0.0:
         raise ValueError(f"degenerate support {p.support} (origin must be interior)")
     Es, ss = np.broadcast_arrays(np.asarray(energies, dtype=float), np.asarray(scales, dtype=float))
@@ -355,7 +354,7 @@ def shoot(
     arrays from -L2 to L1.
     """
     cfg = cfg or GridConfig()
-    lo, hi = potentials.support_bounds(p, cfg.tail_tol)
+    lo, hi = p.support
     h = _step(p, cfg)
     xl, left = _path(p, E, lo, h, np.eye(2))
     (u2, v2), (u2p, v2p) = left[..., -1].tolist()
@@ -465,7 +464,7 @@ def transfer_matrix_batch(
     n = n_slices if n_slices is not None else cfg.n_slices
     if n < 1:
         raise ValueError(f"n_slices must be >= 1, got {n}")
-    supports = {potentials.support_bounds(p, cfg.tail_tol) for p in wells}
+    supports = {p.support for p in wells}
     if len(supports) > 1:
         raise ValueError(f"wells of one transfer batch must share one support, got {sorted(supports)}")
     if not wells:

@@ -9,14 +9,15 @@ principles:
 * ``gamma_complex`` -- Lanczos rational approximation (g = 7, 9 terms) with the
   reflection formula for Re(z) < 1/2.  Good to >= 12 significant digits for
   |z| <= 50.
-* ``bessel_j``, ``bessel_j_prime`` -- one pass of the ascending power series
-  gives J_nu and, term by term, J'_nu, for real or complex order: one code
-  path, no asymptotic switching, accumulated in extended precision (numpy
-  longdouble or clongdouble) for every order.  The alternating series cancels
-  down from a largest term of order e^z/(pi z).  Against 40-digit mpmath, for
-  orders 1e-3i to 2i and 0.3+0.7i: relative error <= 4e-15 up to z = 12,
-  <= 6e-10 at z = 24 and <= 6e-7 at z = 29; real orders stay within 1e-12
-  absolute up to z = 20 and 2e-8 at z = 30.
+* ``bessel_series`` -- one pass of the ascending power series gives the bare
+  sums of J_nu and, term by term, J'_nu (``bessel_j``, ``bessel_j_prime`` add
+  the prefactor), for real or complex order: one code path, no asymptotic
+  switching, accumulated in extended precision (numpy longdouble or
+  clongdouble) for every order.  The alternating series cancels down from a
+  largest term of order e^z/(pi z).  Against 40-digit mpmath, for orders
+  1e-3i to 2i and 0.3+0.7i: relative error <= 4e-15 up to z = 12, <= 6e-10 at
+  z = 24 and <= 6e-7 at z = 29; real orders stay within 1e-12 absolute up to
+  z = 20 and 2e-8 at z = 30.
 * ``bessel_y01`` -- Neumann functions Y0, Y1 from the standard logarithmic
   series, also summed in extended precision.  Against 40-digit mpmath: 2e-16
   absolute up to z = 12, 6e-13 at z = 20, 6e-11 at z = 24, 1e-8 at z = 30.
@@ -41,6 +42,7 @@ __all__ = [
     "MAX_ORDER",
     "bessel_j",
     "bessel_j_prime",
+    "bessel_series",
     "bessel_y01",
     "bessel_zero",
     "gamma_complex",
@@ -95,17 +97,18 @@ def gamma_complex(z: complex) -> complex:
     return math.sqrt(2.0 * math.pi) * t ** (z + 0.5) * cmath.exp(-t) * x
 
 
-def _series(nu: float | complex, z: float) -> tuple:
+def bessel_series(nu: float | complex, z: float) -> tuple:
     """One pass of the series: (S, S') = (sum t_m, sum (nu + 2m) t_m).
 
     t_0 = 1, t_m = -t_{m-1} (z/2)^2 / (m (nu + m)); J_nu(z) = pref S and
     J'_nu(z) = pref S'/z with pref = (z/2)^nu / Gamma(nu+1).  The sums are
-    longdouble for real orders and clongdouble for complex ones.
+    longdouble for a float order and clongdouble otherwise.  Unchecked: the
+    caller keeps z > 0 and |nu| <= MAX_ORDER; beyond z ~ 30 ConvergenceError.
 
     Real orders near (but not at) a negative integer are fine: nu + m is exact
     in the Sterbenz band around -m, and the huge 1/(nu+m) factor in the sum
     cancels against the gamma pole in the prefactor.  Exact negative integers
-    never reach here -- the callers reflect them to positive order first.
+    raise ValueError; :func:`bessel_j` reflects them to positive order first.
     """
     num = np.longdouble(nu) if isinstance(nu, float) else np.clongdouble(nu)
     w = np.longdouble(0.25 * z) * np.longdouble(z)
@@ -130,7 +133,7 @@ def _series(nu: float | complex, z: float) -> tuple:
 
 
 def _bessel(nu: complex, z: float) -> tuple:
-    """(J_nu(z), J'_nu(z)) from one :func:`_series` pass, validated.
+    """(J_nu(z), J'_nu(z)) from one :func:`bessel_series` pass, validated.
 
     Negative integer orders use J_{-n} = (-1)^n J_n, which carries over to J'.
     Both come back as floats for real orders and complex otherwise.
@@ -148,7 +151,7 @@ def _bessel(nu: complex, z: float) -> tuple:
     else:
         nu, kind = nu_c, complex
         pref = cmath.exp(nu * math.log(0.5 * z)) / gamma_complex(nu + 1.0)
-    s, ds = _series(nu, z)
+    s, ds = bessel_series(nu, z)
     return pref * kind(s), pref * kind(ds) / z
 
 

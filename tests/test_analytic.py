@@ -4,6 +4,7 @@ Reference literals come from a 50-digit mpmath oracle kept outside the
 package; none of the code under test was used to generate them.
 """
 
+import cmath
 import math
 
 import numpy as np
@@ -22,7 +23,7 @@ J02 = 5.520078110286311
 class TestSquareWell:
     def test_reference_value(self):
         # q = 1 (V0 = a = 1) at E = V0
-        assert an.square_well_R(1.0, 1.0, 1.0) == pytest.approx(0.011724431718800962, rel=1e-12)
+        assert an.square_well_R(1.0, 1.0, 1.0) == pytest.approx(0.011724431718800962, rel=1e-12, abs=0)
 
     def test_r_plus_t_complement(self):
         R = an.square_well_R(0.37, 4.0, 1.0)
@@ -30,8 +31,8 @@ class TestSquareWell:
 
     def test_threshold_critical_small(self):
         V0 = (math.pi / 2.0) ** 2
-        assert an.square_well_R(1e-10, V0, 1.0) == pytest.approx(2.4999999997855183e-11, rel=1e-4)
-        assert an.square_well_R(1e-8, V0, 1.0) == pytest.approx(2.4999999785518226e-09, rel=1e-4)
+        assert an.square_well_R(1e-10, V0, 1.0) == pytest.approx(2.4999999997855183e-11, rel=1e-4, abs=0)
+        assert an.square_well_R(1e-8, V0, 1.0) == pytest.approx(2.4999999785518226e-09, rel=1e-4, abs=0)
         assert an.square_well_R(1e-10, V0, 1.0) < 1e-4
 
     def test_threshold_generic_full(self):
@@ -75,17 +76,17 @@ def _mpmath_R(E, q):
 class TestExponentialWellExact:
     def test_moderate_energy(self):
         assert abs(an.exp_well_r_exact(0.1, 5.76, 1.0)) ** 2 == pytest.approx(
-            0.016958909069969493, rel=1e-10
+            0.016958909069969493, rel=1e-10, abs=0
         )
 
     def test_lower_energy(self):
         assert abs(an.exp_well_r_exact(0.01, 5.76, 1.0)) ** 2 == pytest.approx(
-            5.423075735480438e-03, rel=1e-10
+            5.423075735480438e-03, rel=1e-10, abs=0
         )
 
     def test_amplitude_with_phase(self):
         got = an.exp_well_r_exact(1e-8, 1.69, 1.0)
-        assert got == pytest.approx(-0.9999999643521751 + 0.00012175423115685838j, rel=1e-9)
+        assert got == pytest.approx(-0.9999999643521751 + 0.00012175423115685838j, rel=1e-9, abs=0)
 
     def test_near_critical_threshold_suppression(self):
         assert abs(an.exp_well_r_exact(1e-5, J01 * J01, 1.0)) ** 2 == pytest.approx(
@@ -111,6 +112,39 @@ class TestExponentialWellExact:
         for E in (1e-6, 1e-3, 0.3, 2.0, 9.0):
             r = an.exp_well_r_exact(E, 5.0, 1.0)
             assert abs(r) <= 1.0 + 1e-12
+
+
+def _prefactor_form_r(E, q):
+    """The source formula with its gamma and Bessel prefactors, for a = 1:
+    -(1/2) (q/2)^(-2ika) Gamma(1+ika)/Gamma(1-ika) [J/conj J + J'/conj J']."""
+    ika = 1j * math.sqrt(E)
+    j, jp = sf.bessel_j(ika, q), sf.bessel_j_prime(ika, q)
+    pref = cmath.exp(-2.0 * ika * math.log(0.5 * q)) * sf.gamma_complex(1.0 + ika) / sf.gamma_complex(1.0 - ika)
+    return -0.5 * pref * (j / j.conjugate() + jp / jp.conjugate())
+
+
+class TestExponentialWellPrefactorCancellation:
+    """The bare-sum amplitude equals the source formula with every prefactor."""
+
+    @pytest.mark.parametrize("q", [0.5, J01, 6.0, 12.0, 24.0, 30.0])
+    def test_equals_prefactor_form(self, q):
+        for E in (1e-10, 1e-8, 1e-5, 1e-3, 1e-2, 0.1, 1.0, 10.0):
+            assert abs(an.exp_well_r_exact(E, q * q, 1.0) - _prefactor_form_r(E, q)) <= 1e-14, E
+
+    def test_needs_no_gamma_and_no_bessel_prefactor(self, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("prefactor function called")
+
+        want = an.exp_well_r_exact(0.01, 5.76, 1.0)
+        for name in ("gamma_complex", "bessel_j", "bessel_j_prime"):
+            monkeypatch.setattr(sf, name, forbidden)
+        assert an.exp_well_r_exact(0.01, 5.76, 1.0) == want
+
+    @pytest.mark.parametrize("q", [J01, J11, J02])
+    def test_threshold_collapse_at_bessel_zeros(self, q):
+        # R(0) = 0 where J0 or J1 vanishes; elsewhere R(0) = 1
+        assert abs(an.exp_well_r_exact(1e-12, q * q, 1.0)) ** 2 < 1e-10
+        assert abs(an.exp_well_r_exact(1e-12, (q + 0.3) ** 2, 1.0)) ** 2 > 1.0 - 1e-9
 
 
 class TestExponentialWellExactWindow:
@@ -165,11 +199,11 @@ class TestTable1CriticalColumnOracles:
 
     def test_against_mpmath_closed_form(self):
         for q, ref in self._reference():
-            assert ref == pytest.approx(_mpmath_R(self.E, q), rel=1e-3), q
+            assert ref == pytest.approx(_mpmath_R(self.E, q), rel=1e-3, abs=0), q
 
     def test_against_direct_integration(self):
         for q, ref in self._reference():
-            assert ref == pytest.approx(self._ivp_R(self.E, q), rel=1e-3), q
+            assert ref == pytest.approx(self._ivp_R(self.E, q), rel=1e-3, abs=0), q
 
 
 class TestExponentialWellThreshold:
@@ -197,6 +231,16 @@ class TestExponentialWellThreshold:
     def test_ka_validity_cap(self):
         with pytest.raises(an.ValidityError):
             an.exp_well_r_threshold(0.5, 4.0, 1.0)
+
+    @pytest.mark.parametrize("q", [30.5, 40.0, 50.0])
+    def test_strength_cap(self, q):
+        # the exact form's window: beyond q = 30 the series' digits are gone
+        with pytest.raises(an.ValidityError):
+            an.exp_well_r_threshold(1e-8, q * q, 1.0)
+
+    def test_strength_cap_edge_is_inside(self):
+        d = abs(an.exp_well_r_threshold(1e-8, 900.0, 1.0) - an.exp_well_r_exact(1e-8, 900.0, 1.0))
+        assert d < 1e-6
 
     def test_pole_correspondence(self):
         # poles of the threshold fractions sit where J0/J1 vanish: residuals
@@ -279,7 +323,7 @@ class TestSoliton:
         ],
     )
     def test_half_integer_values(self, E, want):
-        assert an.soliton_R(E, 2.5) == pytest.approx(want, rel=1e-12)
+        assert an.soliton_R(E, 2.5) == pytest.approx(want, rel=1e-12, abs=0)
 
     def test_generic_threshold_full(self):
         assert an.soliton_R(1e-12, 2.5) > 0.999999
@@ -301,7 +345,7 @@ class TestSoliton:
 
 class TestDeltaWell:
     def test_reference(self):
-        assert an.delta_well_R(1.0, 2.0) == pytest.approx(0.5, rel=1e-15)
+        assert an.delta_well_R(1.0, 2.0) == pytest.approx(0.5, rel=1e-15, abs=0)
 
     def test_full_reflection_at_threshold_always(self):
         for lam in (0.5, 2.0, 11.0):

@@ -387,6 +387,28 @@ class TestTransferBatch:
             sc.transfer_matrix_batch(wells, 1.0, n_slices=0)
 
 
+class TestSupportCut:
+    """Both routes integrate over the well's own support, set by its tail_tol."""
+
+    @staticmethod
+    def _short():
+        return pot.make_potential("ExponentialWell", {"V0": 9.0, "a": 1.0}, tail_tol=1e-8)
+
+    def test_wronskian_route_and_shots_stop_at_the_wells_edges(self):
+        p = self._short()
+        assert p.support[1] == pytest.approx(0.5 * math.log(1e8), rel=1e-15, abs=0)
+        bd = sc.integrate_uv(p, 0.3)
+        assert (-bd.L2, bd.L1) == p.support
+        xs, _, _ = sc.shoot(p, 0.0, record=True)
+        assert (xs[0], xs[-1]) == p.support
+
+    def test_transfer_route_cuts_at_the_wells_edges(self):
+        short, full = self._short(), _well("ExponentialWell", V0=9.0, a=1.0)
+        with pytest.raises(ValueError, match="one support"):
+            sc.transfer_matrix_batch([short, full], 0.3)
+        assert sc.transfer_matrix_rt(short, 0.3).R != sc.transfer_matrix_rt(full, 0.3).R
+
+
 class TestTransferAccuracy:
     """Default-slice transfer route against independent references near q_c.
 
@@ -458,7 +480,7 @@ class TestShootAndNodes:
     def test_shoot_reproduces_its_start_values(self, kind, params, E):
         p = pot.make_potential(kind, params)
         xs, psi, dpsi = sc.shoot(p, E, 0.3, -1.2, record=True)
-        lo, hi = pot.support_bounds(p)
+        lo, hi = p.support
         assert (xs[0], xs[-1]) == (lo, hi)
         assert np.all(np.diff(xs) > 0.0)
         assert abs(psi[0] - 0.3) <= 1e-12
