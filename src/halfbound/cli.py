@@ -21,7 +21,6 @@ input, 3 numerical failure, 4 no root in range.
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import os
 import sys
@@ -82,30 +81,11 @@ def _csv_text(meta: dict, header: list[str], rows: list[tuple]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _reflection(p: potentials.Potential, E: float, method: str, cfg: scatter.GridConfig) -> scatter.ScatterResult:
+def _results(p: potentials.Potential, method: str, cfg: scatter.GridConfig, energies, scales=1.0) -> list[scatter.ScatterResult]:
+    """One result per row of broadcast (energies, depth scales) on the well p, in one batch of either route."""
     if method == "transfer":
-        return scatter.transfer_matrix_rt(p, E, cfg=cfg)
-    bd = scatter.integrate_uv(p, E, cfg)
-    return scatter.reflection_wronskian(bd)
-
-
-def _R_at_strengths(family: potentials.PotentialFamily, E: float, method: str, cfg: scatter.GridConfig, qs: list[float]) -> list[float]:
-    """R over a list of strengths; the transfer route reduces them in one batch."""
-    wells = [family.at(float(q)) for q in qs]
-    if method == "transfer":
-        return [res.R for res in scatter.transfer_matrix_batch(wells, E, cfg=cfg)]
-    return [_reflection(p, E, method, cfg).R for p in wells]
-
-
-def _R_at_strength(family: potentials.PotentialFamily, E: float, method: str, cfg: scatter.GridConfig, q: float) -> float:
-    return _reflection(family.at(float(q)), E, method, cfg).R
-
-
-def _R_at_energies(p: potentials.Potential, method: str, cfg: scatter.GridConfig, Es: list[float]) -> list[float]:
-    """R over a list of energies; the wronskian route integrates them in one batch."""
-    if method == "transfer":
-        return [_reflection(p, E, method, cfg).R for E in Es]
-    return [scatter.reflection_wronskian(bd).R for bd in scatter.integrate_uv_batch(p, Es, cfg)]
+        return scatter.transfer_matrix_batch(p, energies, cfg, scales)
+    return [scatter.reflection_wronskian(bd) for bd in scatter.integrate_uv_batch(p, energies, cfg, scales)]
 
 
 def cmd_reflect(args) -> int:
@@ -114,7 +94,7 @@ def cmd_reflect(args) -> int:
     if args.energy <= 0.0:
         raise potentials.PotentialError(f"--energy must be positive, got {args.energy}")
     cfg = _grid_config(args)
-    res = _reflection(p, args.energy, args.method, cfg)
+    res = _results(p, args.method, cfg, args.energy)[0]
     payload = {
         "descriptor": p.descriptor(),
         "E": args.energy,
@@ -151,11 +131,12 @@ def cmd_scan_q(args) -> int:
     family = potentials.family_from_descriptor(desc, tail_tol=args.tail_tol)
     if args.energy <= 0.0:
         raise potentials.PotentialError(f"--energy must be positive, got {args.energy}")
-    if not (args.q_min < args.q_max) or args.points < 2:
-        raise potentials.PotentialError("need q-min < q-max and points >= 2")
+    if not (-np.inf < args.q_min < args.q_max < np.inf) or args.points < 2:
+        raise potentials.PotentialError("need finite q-min < q-max and points >= 2")
     qs = np.linspace(args.q_min, args.q_max, args.points)
     cfg = _grid_config(args)
-    Rs = np.asarray(_R_at_strengths(family, args.energy, args.method, cfg, qs.tolist()))
+    probe, scales = family.scaled(qs)
+    Rs = np.array([res.R for res in _results(probe, args.method, cfg, args.energy, scales)])
     meta = {
         "descriptor": family.descriptor(),
         "axis": "q",
@@ -164,7 +145,7 @@ def cmd_scan_q(args) -> int:
         "grid": _grid_metadata(args),
     }
     text = _csv_text(meta, ["q", "R"], list(zip(qs, Rs)))
-    minima = _minima(qs, Rs, functools.partial(_R_at_strength, family, args.energy, args.method, cfg))
+    minima = _minima(qs, Rs, lambda q: _results(family.at(q), args.method, cfg, args.energy)[0].R)
     sidecar = json.dumps(
         {"descriptor": family.descriptor(), "fixed_E": args.energy, "minima": minima},
         sort_keys=True,
@@ -182,14 +163,14 @@ def cmd_scan_q(args) -> int:
 def cmd_scan_e(args) -> int:
     desc = _load_descriptor(args.potential)
     p = potentials.from_descriptor(desc, tail_tol=args.tail_tol)
-    if not (0.0 < args.e_min < args.e_max) or args.points < 2:
-        raise potentials.PotentialError("need 0 < e-min < e-max and points >= 2")
+    if not (0.0 < args.e_min < args.e_max < np.inf) or args.points < 2:
+        raise potentials.PotentialError("need 0 < e-min < e-max < inf and points >= 2")
     if args.log:
         Es = np.geomspace(args.e_min, args.e_max, args.points)
     else:
         Es = np.linspace(args.e_min, args.e_max, args.points)
     cfg = _grid_config(args)
-    Rs = _R_at_energies(p, args.method, cfg, Es.tolist())
+    Rs = [res.R for res in _results(p, args.method, cfg, Es)]
     meta = {
         "descriptor": p.descriptor(),
         "axis": "E",

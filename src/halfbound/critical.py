@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import potentials, scatter
+from . import scatter
 from ._brent import brentq
 from .potentials import PotentialFamily
 from .scatter import GridConfig
@@ -98,12 +98,11 @@ def _saturation(bd: scatter.BoundaryData) -> float:
 def _mismatch_batch(family: PotentialFamily, qs: np.ndarray, cfg: GridConfig | None) -> np.ndarray:
     """Vectorized hbs_mismatch over many strengths.
 
-    Every catalogued well is a fixed shape scaled by a depth, V = d(q) s(x), so
-    the well sampled once at q_0 serves every q in the scan, scaled by the
-    depth ratio d(q)/d(q_0); the strengths are the rows of one E = 0 batch.
+    The well sampled once at q_0 serves every q in the scan, scaled by the
+    depth ratio d(q)/d(q_0) of :meth:`PotentialFamily.scaled`; the strengths
+    are the rows of one E = 0 batch.
     """
-    probe = family.at(float(qs[0]))
-    scales = family.depths(qs) / potentials.depth(probe.params)
+    probe, scales = family.scaled(qs)
     return np.array([_saturation(bd) for bd in scatter.integrate_uv_batch(probe, 0.0, cfg, scales)])
 
 

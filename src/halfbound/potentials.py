@@ -239,10 +239,17 @@ class PotentialFamily:
     def floor(self) -> float:
         return _KNOBS[self.knob][1]
 
-    def depths(self, strengths) -> np.ndarray:
-        """Depths d of the member wells at an array of strengths."""
-        knob = self.knob
-        return depth({knob: _KNOBS[knob][2](np.asarray(strengths, dtype=float), self.fixed.get("a", 1.0))})
+    def scaled(self, strengths) -> tuple[Potential, np.ndarray]:
+        """The member at the first strength q_0 and the depth ratios d(q)/d(q_0).
+
+        Members are V = d(q) s(x), so each ratio times that well is the member at q, to rounding.
+        """
+        qs = np.asarray(strengths, dtype=float)
+        name, floor, to_knob = _KNOBS[self.knob]
+        if not (qs > floor).all():
+            raise PotentialError(f"every strength {name!r} must exceed {floor:g}")
+        probe = self.at(float(qs.flat[0]))
+        return probe, depth({self.knob: to_knob(qs, self.fixed.get("a", 1.0))}) / depth(probe.params)
 
     def at(self, strength: float) -> Potential:
         """The member well with the given strength (q, or nu for SolitonWell)."""

@@ -12,11 +12,12 @@ yields both r and t.  The equation is linear, so one RK4 step is an exact 2x2
 matrix on (psi, psi'); every RK4 integration here, recorded shots included, is
 the ordered product of those step matrices.  The transfer route crosses the
 support in equal slices, each a fourth-order Gauss-Legendre Magnus step
-sampled at the slice's two Gauss points, and reduces the slice matrices of
-many wells at once.  The two routes share only that product (a plain 2x2
-reduction, tested on its own) and potential evaluation; their step rules and
-sample points stay separate, so their agreement is a genuine cross-check and
-is kept that way on purpose.
+sampled at the slice's two Gauss points.  Both routes batch one contract:
+rows of (E, s) on one sampled well V, each row the well s V at energy E, and
+every row equal to its one-row call bit for bit.  The two routes share only
+the ordered product of 2x2 matrices (a plain reduction, tested on its own)
+and potential evaluation; their step rules and sample points stay separate,
+so their agreement is a genuine cross-check and is kept that way on purpose.
 
 Edge sampling: kinds with a jump at the support edge (square and
 square-triangular profiles are defined on open/closed intervals) must never be
@@ -34,7 +35,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -70,7 +71,7 @@ _MAX_HALVINGS = 6
 #: Matrices built and reduced at once (batch x steps); bounds the working set.
 _CHUNK = 1 << 14
 
-#: The same bound for the transfer-matrix route (wells x slices).
+#: The same bound for the transfer-matrix route (rows x slices).
 _SLICE_CHUNK = 1 << 12
 
 #: Gauss-Legendre points of a slice, as fractions of its width.
@@ -97,17 +98,24 @@ class GridConfig:
     """Numerical knobs shared by the integration and transfer-matrix routes.
 
     step
-        Runge-Kutta step; ``None`` selects min(a, 1)/2000 for the well's
-        length parameter a.
+        Runge-Kutta step, finite and positive; ``None`` selects min(a, 1)/2000
+        for the well's length parameter a.
     n_slices
-        Transfer-matrix slice count; each slice is one fourth-order Magnus
-        step sampled at its two Gauss points.
+        Transfer-matrix slice count, an integer >= 1; each slice is one
+        fourth-order Magnus step sampled at its two Gauss points.
 
     The support both routes cross is the well's own ``Potential.support``.
+    Other values raise ValueError.
     """
 
     step: float | None = None
     n_slices: int = 1000
+
+    def __post_init__(self):
+        if self.step is not None and not (math.isfinite(self.step) and self.step > 0.0):
+            raise ValueError(f"step must be finite and positive, got {self.step}")
+        if not isinstance(self.n_slices, (int, np.integer)) or self.n_slices < 1:
+            raise ValueError(f"n_slices must be an integer >= 1, got {self.n_slices!r}")
 
 
 @dataclass(frozen=True)
@@ -160,10 +168,15 @@ def default_step(p: Potential) -> float:
 
 def _step(p: Potential, cfg: GridConfig) -> float:
     """The Runge-Kutta step of a grid: ``cfg.step``, or the well's default."""
-    h = cfg.step if cfg.step is not None else default_step(p)
-    if not h > 0.0:
-        raise ValueError(f"step must be positive, got {h}")
-    return h
+    return cfg.step if cfg.step is not None else default_step(p)
+
+
+def _rows(energies, scales) -> tuple[np.ndarray, np.ndarray]:
+    """Flat (E, s) rows of broadcast (energies, scales); ValueError on a non-finite entry."""
+    Es, ss = np.broadcast_arrays(np.asarray(energies, dtype=float), np.asarray(scales, dtype=float))
+    if not (np.isfinite(Es).all() and np.isfinite(ss).all()):
+        raise ValueError("energies and depth scales must be finite")
+    return Es.ravel(), ss.ravel()
 
 
 def _grid_samples(p: Potential, edge: float, h_target: float) -> tuple[np.ndarray, np.ndarray, float]:
@@ -279,14 +292,14 @@ def integrate_uv_batch(p: Potential, energies, cfg: GridConfig | None = None, sc
     A row takes the well s V at energy E; the rows share one support and one
     grid and are reduced together.  Rows whose wronskian drift is above 1e-8
     are redone at half the step (up to 6 times), so every row, its drift
-    included, equals the one-row call bit for bit.
+    included, equals the one-row call bit for bit.  Non-finite E or s raise
+    ValueError.
     """
     cfg = cfg or GridConfig()
     lo, hi = p.support
     if hi <= 0.0 or lo >= 0.0:
         raise ValueError(f"degenerate support {p.support} (origin must be interior)")
-    Es, ss = np.broadcast_arrays(np.asarray(energies, dtype=float), np.asarray(scales, dtype=float))
-    Es, ss = Es.ravel(), ss.ravel()
+    Es, ss = _rows(energies, scales)
     out = [None] * Es.size
     todo = np.arange(Es.size)
     h = _step(p, cfg)
@@ -448,41 +461,35 @@ def _transfer_result(P: list, k: float, lo: float, hi: float) -> ScatterResult:
     return ScatterResult(r=r, t=t, R=R, T=T, unitarity_residual=abs(R + T - 1.0), method="transfer")
 
 
-def transfer_matrix_batch(
-    wells: list[Potential], E: float, n_slices: int | None = None, cfg: GridConfig | None = None
-) -> list[ScatterResult]:
-    """:func:`transfer_matrix_rt` of several wells that share one support.
+def transfer_matrix_batch(p: Potential, energies, cfg: GridConfig | None = None, scales=1.0) -> list[ScatterResult]:
+    """:func:`transfer_matrix_rt` for every row of broadcast (energies, scales).
 
-    The wells' slice products are reduced together, in chunks of at most
-    ``_SLICE_CHUNK`` matrices along both the well and the slice axis.  The
-    slice chunks depend on the slice count alone, so every result equals the
-    single-well call bit for bit.  Raises ValueError when the supports differ.
+    A row takes the well s V at energy E > 0: V is sampled once at the Gauss
+    points and each row crosses the support with g = s V - E.  Rows go through
+    in blocks of ``_SLICE_CHUNK // min(n, _SLICE_CHUNK)``, in slice chunks that
+    depend on the slice count alone, so every row equals the one-row call bit
+    for bit.  Non-finite E or s raise ValueError.
     """
-    if E <= 0.0:
-        raise ValueError(f"transfer-matrix route requires E > 0, got E = {E}")
     cfg = cfg or GridConfig()
-    n = n_slices if n_slices is not None else cfg.n_slices
-    if n < 1:
-        raise ValueError(f"n_slices must be >= 1, got {n}")
-    supports = {p.support for p in wells}
-    if len(supports) > 1:
-        raise ValueError(f"wells of one transfer batch must share one support, got {sorted(supports)}")
-    if not wells:
-        return []
-    (lo, hi), = supports
+    Es, ss = _rows(energies, scales)
+    if not (Es > 0.0).all():
+        raise ValueError(f"transfer-matrix route requires E > 0, got E = {Es.min()}")
+    n = cfg.n_slices
+    lo, hi = p.support
     d = (hi - lo) / n
-    x = lo + d * (np.arange(n)[None, :] + np.array(_GAUSS)[:, None]).ravel()
+    v = potentials.evaluate(p, lo + d * (np.arange(n)[None, :] + np.array(_GAUSS)[:, None]).ravel())
+    v1, v2 = v[:n], v[n:]
     width = min(n, _SLICE_CHUNK)
     rows = max(_SLICE_CHUNK // width, 1)
-    k = math.sqrt(E)
     out = []
-    for b in range(0, len(wells), rows):
-        g = np.array([potentials.evaluate(p, x) for p in wells[b:b + rows]]) - E
-        g1, g2 = g[:, :n], g[:, n:]
+    for b in range(0, Es.size, rows):
+        s, e = ss[b:b + rows, None], Es[b:b + rows, None]
+        g1, g2 = s * v1 - e, s * v2 - e
         total = np.eye(2)[..., None]
         for i in range(0, n, width):
             total = _mul(_ordered_product(_slice_matrices(g1[:, i:i + width], g2[:, i:i + width], d)), total)
-        out.extend(_transfer_result(P, k, lo, hi) for P in np.moveaxis(total, -1, 0).tolist())
+        Ps = np.moveaxis(total, -1, 0).tolist()
+        out.extend(_transfer_result(P, math.sqrt(E), lo, hi) for P, E in zip(Ps, Es[b:b + rows].tolist()))
     return out
 
 
@@ -496,7 +503,8 @@ def transfer_matrix_rt(p: Potential, E: float, n_slices: int | None = None, cfg:
     piecewise-constant wells are reproduced exactly at any slice count; on
     smooth wells the error falls 16-fold per doubling of the slice count.
     """
-    return transfer_matrix_batch([p], E, n_slices, cfg)[0]
+    cfg = cfg or GridConfig()
+    return transfer_matrix_batch(p, E, cfg if n_slices is None else replace(cfg, n_slices=n_slices))[0]
 
 
 def threshold_limit_r(bd: BoundaryData) -> complex:

@@ -17,7 +17,8 @@ principles:
   largest term of order e^z/(pi z).  Against 40-digit mpmath, for orders
   1e-3i to 2i and 0.3+0.7i: relative error <= 4e-15 up to z = 12, <= 6e-10 at
   z = 24 and <= 6e-7 at z = 29; real orders stay within 1e-12 absolute up to
-  z = 20 and 2e-8 at z = 30.
+  z = 20 and 2e-8 at z = 30; ``bessel_j`` and ``bessel_j_prime`` raise
+  ValueError beyond z = 30.
 * ``bessel_y01`` -- Neumann functions Y0, Y1 from the standard logarithmic
   series, also summed in extended precision.  Against 40-digit mpmath: 2e-16
   absolute up to z = 12, 6e-13 at z = 20, 6e-11 at z = 24, 1e-8 at z = 30.
@@ -138,8 +139,8 @@ def _bessel(nu: complex, z: float) -> tuple:
     Negative integer orders use J_{-n} = (-1)^n J_n, which carries over to J'.
     Both come back as floats for real orders and complex otherwise.
     """
-    if z <= 0.0:
-        raise ValueError(f"argument must be positive, got z = {z}")
+    if not 0.0 < z <= 30.0:  # beyond 30 the series cancels to a wrong answer
+        raise ValueError(f"argument must lie in (0, 30], got z = {z}")
     nu_c = complex(nu)
     if abs(nu_c) > MAX_ORDER:
         raise ValueError(f"|order| = {abs(nu_c):g} exceeds maximum {MAX_ORDER:g}")

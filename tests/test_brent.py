@@ -94,9 +94,13 @@ def test_brentq_nan_is_arithmetic_error():
 # -- bounded minimiser
 
 
+def _square_R_at(E, q):
+    well = potentials.make_family("SquareWell", a=1.0).at(q)
+    return cli._results(well, "transfer", GridConfig(), E)[0].R
+
+
 def _square_R(E):
-    family = potentials.make_family("SquareWell", a=1.0)
-    return functools.partial(cli._R_at_strength, family, E, "transfer", GridConfig())
+    return functools.partial(_square_R_at, E)
 
 
 @pytest.mark.parametrize(

@@ -9,11 +9,12 @@ import sys
 
 import pytest
 
-from halfbound import cli, critical
+from halfbound import cli, critical, potentials, scatter
 
 SQUARE = '{"kind":"SquareWell","params":{"V0":1.0,"a":1.0}}'
 SQUARE_FAMILY = '{"kind":"SquareWell","params":{"a":1.0}}'
 EXP_FAMILY = '{"kind":"ExponentialWell","params":{"a":1.0}}'
+SIN2_FAMILY = '{"kind":"Sin2Multiwell","params":{"a":1.0,"m":2}}'
 
 
 def run(args):
@@ -117,6 +118,24 @@ class TestScanQ:
         assert m["refined_R"] < 1e-12
         assert m["refined_R"] <= m["grid_R"]
 
+    @pytest.mark.parametrize("method", ["transfer", "wronskian"])
+    @pytest.mark.parametrize("desc, qs", [(EXP_FAMILY, ("0.7", "6.0")), (SIN2_FAMILY, ("1.3", "7.0"))])
+    @pytest.mark.parametrize("E", [0.01, 0.1])
+    def test_grid_matches_per_well_calls(self, monkeypatch, capsys, method, desc, qs, E):
+        # one sampled well scaled by depth ratios gives each member well's R to rounding
+        monkeypatch.setattr(cli, "_fmt", lambda x: repr(float(x)))
+        argv = ["scan-q", "--potential", desc, "--energy", str(E), "--q-min", qs[0], "--q-max", qs[1],
+                "--points", "25", "--method", method]
+        assert run(argv) == 0
+        body = [l for l in capsys.readouterr().out.splitlines() if not l.startswith("#")][1:]
+        family = potentials.family_from_descriptor(desc)
+        cfg = scatter.GridConfig()
+        for q, R in (map(float, line.split(",")) for line in body):
+            p = family.at(q)
+            ref = (scatter.transfer_matrix_rt(p, E) if method == "transfer"
+                   else scatter.reflection_wronskian(scatter.integrate_uv(p, E, cfg)))
+            assert abs(R - ref.R) <= 1e-12 * ref.R
+
     def test_lf_line_endings(self, tmp_path):
         f = tmp_path / "scan.csv"
         assert self._scan(f) == 0
@@ -213,7 +232,7 @@ class TestTable1:
         assert out[0].split()[0] == "q"
         first = out[1].split()
         assert first[0] == "2.40"
-        assert float(first[1]) == pytest.approx(0.016958909069969493, rel=1e-3)
+        assert float(first[1]) == pytest.approx(0.016958909069969493, rel=1e-3, abs=0)
 
     def test_csv_output(self, tmp_path):
         f = tmp_path / "t1.csv"
@@ -268,6 +287,23 @@ class TestExitCodes:
             ["scan-q", "--potential", SQUARE_FAMILY, "--energy", "0.01", "--q-min", "1.4", "--q-max", "1.8",
              "--points", "5", "--workers", "-1"],
             ["scan-e", "--potential", SQUARE, "--e-min", "0.1", "--e-max", "1", "--points", "5", "--workers", "-2"],
+            # non-finite energies, on both routes
+            ["reflect", "--potential", SQUARE, "--energy", "nan"],
+            ["reflect", "--potential", SQUARE, "--energy", "nan", "--method", "transfer"],
+            ["reflect", "--potential", SQUARE, "--energy", "inf"],
+            ["reflect", "--potential", SQUARE, "--energy", "inf", "--method", "transfer"],
+            ["scan-q", "--potential", SQUARE_FAMILY, "--energy", "nan", "--q-min", "1.4", "--q-max", "1.8",
+             "--points", "5"],
+            ["scan-q", "--potential", SQUARE_FAMILY, "--energy", "inf", "--q-min", "1.4", "--q-max", "1.8",
+             "--points", "5", "--method", "wronskian"],
+            ["scan-e", "--potential", SQUARE, "--e-min", "0.1", "--e-max", "inf", "--points", "5"],
+            # grid settings outside their ranges, whichever route the run takes
+            ["reflect", "--potential", SQUARE, "--energy", "1.0", "--method", "transfer", "--step", "-1"],
+            ["reflect", "--potential", SQUARE, "--energy", "1.0", "--step", "inf"],
+            ["reflect", "--potential", SQUARE, "--energy", "1.0", "--slices", "0"],
+            # a non-finite strength range
+            ["scan-q", "--potential", SQUARE_FAMILY, "--energy", "0.1", "--q-min", "1", "--q-max", "inf",
+             "--points", "5"],
         ],
     )
     def test_invalid_input_is_exit_two(self, capsys, argv):

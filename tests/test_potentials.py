@@ -45,7 +45,7 @@ class TestConstruction:
 
     def test_exponential_tail_value(self):
         p = pot.make_potential("ExponentialWell", {"V0": 1.0, "a": 1.0})
-        assert pot.evaluate(p, 10.0) == pytest.approx(-2.061153622438558e-09, rel=1e-12)
+        assert pot.evaluate(p, 10.0) == pytest.approx(-2.061153622438558e-09, rel=1e-12, abs=0)
         lo, hi = p.support
         assert abs(pot.evaluate(p, hi)) <= 1.0000001e-12
 
@@ -53,11 +53,11 @@ class TestConstruction:
         p = pot.make_potential("SolitonWell", {"nu": 2.0})
         # arccosh(1/sqrt(tail_tol)) = arccosh(1e6)
         assert p.support[1] == pytest.approx(14.508657738523969, abs=1e-12)
-        assert p.q == pytest.approx(math.sqrt(2.0), rel=1e-15)
+        assert p.q == pytest.approx(math.sqrt(2.0), rel=1e-15, abs=0)
 
     def test_soliton_depth(self):
         p = pot.make_potential("SolitonWell", {"nu": 3.0})
-        assert pot.evaluate(p, 0.0) == pytest.approx(-6.0, rel=1e-15)
+        assert pot.evaluate(p, 0.0) == pytest.approx(-6.0, rel=1e-15, abs=0)
 
     def test_delta_strength_is_lambda(self):
         p = pot.make_potential("DeltaWell", {"lambda": 2.0})
@@ -155,8 +155,8 @@ class TestDescriptors:
     def test_family_strength_mapping(self):
         fam = pot.make_family("ExponentialWell", a=1.0)
         p = fam.at(2.4)
-        assert p.params["V0"] == pytest.approx(5.76, rel=1e-15)
-        assert p.q == pytest.approx(2.4, rel=1e-15)
+        assert p.params["V0"] == pytest.approx(5.76, rel=1e-15, abs=0)
+        assert p.q == pytest.approx(2.4, rel=1e-15, abs=0)
 
     def test_family_soliton_strength_is_nu(self):
         fam = pot.make_family("SolitonWell")
@@ -205,14 +205,22 @@ FAMILIES = [
 
 @pytest.mark.parametrize("kind, fixed, s1, s2", FAMILIES)
 def test_family_members_differ_by_depth_ratio(kind, fixed, s1, s2):
-    # V = d(s) * shape(x): the batched critical scan rescales one sampling by d(s2)/d(s1)
+    # V = d(s) * shape(x): the batched scans rescale one sampling by d(s2)/d(s1)
     fam = pot.make_family(kind, **fixed)
     p1, p2 = fam.at(s1), fam.at(s2)
-    assert fam.depths([s1, s2]).tolist() == [pot.depth(p1.params), pot.depth(p2.params)]
+    probe, scales = fam.scaled([s1, s2])
+    assert probe == p1
     ratio = pot.depth(p2.params) / pot.depth(p1.params)
+    assert scales.tolist() == [1.0, ratio]
     lo, hi = p1.support
     xs = np.linspace(lo, hi, 1001)[1:-1]
     np.testing.assert_allclose(pot.evaluate(p2, xs), ratio * pot.evaluate(p1, xs), rtol=1e-15, atol=0)
+
+
+def test_scaled_rejects_strengths_at_or_below_the_floor():
+    fam = pot.make_family("SolitonWell")
+    with pytest.raises(pot.PotentialError, match="exceed 1"):
+        fam.scaled([2.0, 3.0, 1.0])
 
 
 def test_depth_by_parameter():
@@ -274,7 +282,7 @@ def test_integrated_depth_negative(shape, V0):
 @given(V0=st.floats(0.1, 30.0), a=st.floats(0.2, 3.0))
 def test_strength_definition(V0, a):
     p = pot.make_potential("SquareWell", {"V0": V0, "a": a})
-    assert p.q == pytest.approx(a * math.sqrt(V0), rel=1e-14)
+    assert p.q == pytest.approx(a * math.sqrt(V0), rel=1e-14, abs=0)
 
 
 @settings(max_examples=30, deadline=None)
@@ -287,4 +295,4 @@ def test_family_roundtrip(shape, strength):
         assert fam.at(nu).params["nu"] == pytest.approx(nu)
     else:
         fam = pot.make_family(kind, a=1.0, **extra)
-        assert fam.at(strength).q == pytest.approx(strength, rel=1e-13)
+        assert fam.at(strength).q == pytest.approx(strength, rel=1e-13, abs=0)

@@ -88,7 +88,7 @@ class TestWronskianRoute:
         res = sc.reflection_wronskian(
             sc.integrate_uv(_well("ExponentialWell", V0=J01 * J01, a=1.0), 1e-5)
         )
-        assert res.R == pytest.approx(1.8881479149127027e-06, rel=1e-4)
+        assert res.R == pytest.approx(1.8881479149127027e-06, rel=1e-4, abs=0)
 
     def test_rejects_nonpositive_energy(self):
         bd = sc.integrate_uv(_well("SquareWell", V0=1.0, a=1.0), 0.0)
@@ -236,6 +236,11 @@ class TestIntegrateUvBatch:
         with pytest.raises(sc.IntegrationError):
             sc.integrate_uv_batch(p, [0.1, 1.0], sc.GridConfig(step=0.2))
 
+    @pytest.mark.parametrize("energies, scales", [([0.1, math.nan], 1.0), (math.inf, 1.0), (0.1, [1.0, math.nan]), (0.0, -math.inf)])
+    def test_rejects_non_finite_rows(self, energies, scales):
+        with pytest.raises(ValueError, match="finite"):
+            sc.integrate_uv_batch(_well("SquareWell", V0=3.0, a=1.0), energies, scales=scales)
+
     def test_broadcast_shape_and_empty(self):
         p = _well("SquareWell", V0=3.0, a=1.0)
         assert len(sc.integrate_uv_batch(p, [0.1, 0.2], scales=np.ones((3, 1)))) == 6
@@ -284,7 +289,7 @@ class TestTransferRoute:
 
     def test_exponential_default_slices_percent_level(self):
         res = sc.transfer_matrix_rt(_well("ExponentialWell", V0=5.76, a=1.0), 0.01)
-        assert res.R == pytest.approx(5.423075735480438e-03, rel=5e-2)
+        assert res.R == pytest.approx(5.423075735480438e-03, rel=5e-2, abs=0)
 
     def test_exponential_fine_slices(self):
         res = sc.transfer_matrix_rt(
@@ -297,6 +302,19 @@ class TestTransferRoute:
         rw = sc.reflection_wronskian(sc.integrate_uv(p, 1.0))
         rt = sc.transfer_matrix_rt(p, 1.0, n_slices=32768)
         assert rt.R == pytest.approx(rw.R, abs=1e-6)
+
+    @pytest.mark.parametrize("step", [0.0, -1.0, math.inf, math.nan])
+    def test_grid_config_rejects_bad_step(self, step):
+        with pytest.raises(ValueError, match="step"):
+            sc.GridConfig(step=step)
+
+    @pytest.mark.parametrize("n_slices", [0, -3, 2.5, 1000.0, "7"])
+    def test_grid_config_rejects_bad_slice_count(self, n_slices):
+        with pytest.raises(ValueError, match="n_slices"):
+            sc.GridConfig(n_slices=n_slices)
+
+    def test_grid_config_accepts_its_ranges(self):
+        assert sc.GridConfig(step=1e-3, n_slices=np.int64(1)).n_slices == 1
 
     def test_slice_count_validated(self):
         with pytest.raises(ValueError):
@@ -361,30 +379,31 @@ class TestMagnusSlice:
 
 
 class TestTransferBatch:
+    """Every row of (E, s) on one sampled well equals its one-row call, field for field."""
+
     @pytest.mark.parametrize("kind, fixed", FAMILIES, ids=[k for k, _ in FAMILIES])
     @pytest.mark.parametrize("size", [1, 3, 5, 17])
     @pytest.mark.parametrize("n", [7, 999, 1000, sc._SLICE_CHUNK + 1])
     def test_rows_equal_single_well_calls(self, kind, fixed, size, n):
         family = pot.make_family(kind, **fixed)
-        wells = [family.at(s) for s in np.linspace(family.floor + 0.5, family.floor + 6.0, size)]
-        batch = sc.transfer_matrix_batch(wells, 0.05, n_slices=n)
-        assert batch == [sc.transfer_matrix_rt(p, 0.05, n_slices=n) for p in wells]
-
-    @pytest.mark.parametrize(
-        "kind, params",
-        [("SquareWell", [{"V0": 2.0, "a": 1.0}, {"V0": 2.0, "a": 1.5}]),
-         ("ExponentialWell", [{"V0": 2.0, "a": 1.0}, {"V0": 2.0, "a": 0.5}])],
-    )
-    def test_different_supports_rejected(self, kind, params):
-        with pytest.raises(ValueError, match="one support"):
-            sc.transfer_matrix_batch([_well(kind, **prm) for prm in params], 0.1)
+        probe = family.at(family.floor + 2.0)
+        cfg = sc.GridConfig(n_slices=n)
+        energies = np.geomspace(1e-4, 3.0, size)
+        scales = np.linspace(0.3, 4.0, size)[::-1]
+        batch = sc.transfer_matrix_batch(probe, energies, cfg, scales)
+        assert batch == [sc.transfer_matrix_batch(probe, E, cfg, s)[0] for E, s in zip(energies, scales)]
+        assert sc.transfer_matrix_batch(probe, energies[0], cfg)[0] == sc.transfer_matrix_rt(probe, energies[0], n_slices=n)
 
     def test_rejects_bad_energy_and_slices(self):
-        wells = [_well("SquareWell", V0=1.0, a=1.0)]
-        with pytest.raises(ValueError):
-            sc.transfer_matrix_batch(wells, 0.0)
-        with pytest.raises(ValueError):
-            sc.transfer_matrix_batch(wells, 1.0, n_slices=0)
+        p = _well("SquareWell", V0=1.0, a=1.0)
+        for E in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(ValueError):
+                sc.transfer_matrix_batch(p, [0.5, E])
+        for s in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="finite"):
+                sc.transfer_matrix_batch(p, 0.5, scales=[1.0, s])
+        with pytest.raises(ValueError, match="n_slices"):
+            sc.transfer_matrix_batch(p, 1.0, sc.GridConfig(n_slices=0))
 
 
 class TestSupportCut:
@@ -404,8 +423,6 @@ class TestSupportCut:
 
     def test_transfer_route_cuts_at_the_wells_edges(self):
         short, full = self._short(), _well("ExponentialWell", V0=9.0, a=1.0)
-        with pytest.raises(ValueError, match="one support"):
-            sc.transfer_matrix_batch([short, full], 0.3)
         assert sc.transfer_matrix_rt(short, 0.3).R != sc.transfer_matrix_rt(full, 0.3).R
 
 
@@ -421,7 +438,7 @@ class TestTransferAccuracy:
     )
     def test_exponential_default_slices(self, V0, E, rel):
         R = sc.transfer_matrix_rt(_well("ExponentialWell", V0=V0, a=1.0), E).R
-        assert R == pytest.approx(abs(an.exp_well_r_exact(E, V0, 1.0)) ** 2, rel=rel)
+        assert R == pytest.approx(abs(an.exp_well_r_exact(E, V0, 1.0)) ** 2, rel=rel, abs=0)
 
     def test_fourth_order_convergence(self):
         p = _well("ExponentialWell", V0=5.76, a=1.0)

@@ -100,6 +100,16 @@ class TestBesselJ:
         with pytest.raises(ValueError):
             sf.bessel_j(60.0, 1.0)
 
+    @pytest.mark.parametrize("nu", [0.0, 1.0, 0.5j])
+    def test_argument_window_ends_at_thirty(self, nu):
+        # the series cancels to a wrong answer beyond z = 30 (J0(50) read 0.0340, not 0.0558)
+        assert math.isfinite(abs(sf.bessel_j(nu, 30.0)))
+        for z in (30.5, 50.0):
+            with pytest.raises(ValueError, match="30"):
+                sf.bessel_j(nu, z)
+            with pytest.raises(ValueError, match="30"):
+                sf.bessel_j_prime(nu, z)
+
     def test_prime_at_small_argument(self):
         # J1'(z) -> 1/2 as z -> 0
         assert sf.bessel_j_prime(1.0, 1e-6) == pytest.approx(0.5, abs=1e-9)
