@@ -6,16 +6,18 @@ Subcommands
 reflect        one (potential, E) reflection/transmission evaluation -> JSON
 scan-q         R at fixed E over a strength grid -> CSV (+ minima sidecar)
 scan-e         R at fixed potential over an energy grid -> CSV
-find-qc        critical strength inside a bracket -> JSON
-hbs-profile    critical strength + sampled zero-energy state -> CSV (+ JSON)
+find-qc        critical strength inside a bracket, on the RK4 route -> JSON
+hbs-profile    critical strength + sampled zero-energy state, RK4 -> CSV (+ JSON)
 table1         low-energy reflection of the exponential well near its first
                critical strength, 6 strengths x 5 energies -> table/CSV
 specfun-check  residuals of special-function identities (debug aid)
 
 All file output is deterministic: fixed scientific formatting with 10
 significant digits, LF endings, metadata lines prefixed with '#' carrying the
-full potential descriptor and grid settings.  Exit codes: 0 success, 2 invalid
-input, 3 numerical failure, 4 no root in range.
+full potential descriptor and the grid settings the run took.  Each subcommand
+takes only the options its run reads, apart from the scans' ``--workers``,
+which has no effect.  Exit codes: 0 success, 2 invalid input, 3 numerical
+failure, 4 no root in range.
 """
 
 from __future__ import annotations
@@ -56,13 +58,13 @@ def _load_descriptor(text: str) -> dict:
     )
 
 
-def _grid_config(args) -> scatter.GridConfig:
-    return scatter.GridConfig(step=args.step, n_slices=args.slices)
-
-
 def _grid_metadata(args) -> dict:
-    """Grid settings echoed into every output; ``tail_tol`` is the well's own."""
-    return {"step": args.step, "n_slices": args.slices, "tail_tol": args.tail_tol}
+    """The grid settings a command takes, echoed into its output; ``tail_tol`` is the well's own."""
+    return {k: getattr(args, k) for k in ("step", "n_slices", "tail_tol") if hasattr(args, k)}
+
+
+def _grid_config(args) -> scatter.GridConfig:
+    return scatter.GridConfig(**{k: v for k, v in _grid_metadata(args).items() if k != "tail_tol"})
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -182,11 +184,15 @@ def cmd_scan_e(args) -> int:
     return 0
 
 
+def _critical_point(args) -> tuple[potentials.PotentialFamily, critical.HbsResult, dict]:
+    """The family of --potential, its critical point inside --bracket on the RK4 route, and the point's summary."""
+    family = potentials.family_from_descriptor(_load_descriptor(args.potential), tail_tol=args.tail_tol)
+    res = critical.find_critical_q(family, tuple(args.bracket), _grid_config(args))
+    return family, res, {k: v for k, v in vars(res).items() if k != "profile"}
+
+
 def cmd_find_qc(args) -> int:
-    desc = _load_descriptor(args.potential)
-    family = potentials.family_from_descriptor(desc, tail_tol=args.tail_tol)
-    cfg = _grid_config(args)
-    res = critical.find_critical_q(family, (args.bracket[0], args.bracket[1]), cfg)
+    family, res, summary = _critical_point(args)
     profile = res.profile
     if profile.shape[0] > 1001:
         idx = np.unique(np.linspace(0, profile.shape[0] - 1, 1001).astype(int))
@@ -194,11 +200,7 @@ def cmd_find_qc(args) -> int:
     payload = {
         "descriptor": family.descriptor(),
         "bracket": list(args.bracket),
-        "q_c": res.q_c,
-        "node_count": res.node_count,
-        "parity": res.parity,
-        "left_residual": res.left_residual,
-        "right_residual": res.right_residual,
+        **summary,
         "grid": _grid_metadata(args),
         "profile": [[float(x), float(y)] for x, y in profile],
     }
@@ -207,22 +209,12 @@ def cmd_find_qc(args) -> int:
 
 
 def cmd_hbs_profile(args) -> int:
-    desc = _load_descriptor(args.potential)
-    family = potentials.family_from_descriptor(desc, tail_tol=args.tail_tol)
-    cfg = _grid_config(args)
-    res = critical.find_critical_q(family, (args.bracket[0], args.bracket[1]), cfg)
+    family, res, summary = _critical_point(args)
     p = family.at(res.q_c)
     lo, hi = p.support
     xs = res.profile[:, 0]
     psi = res.profile[:, 1]
     vs = np.where((xs >= lo) & (xs <= hi), potentials.evaluate(p, np.clip(xs, lo, hi)), 0.0)
-    summary = {
-        "q_c": res.q_c,
-        "node_count": res.node_count,
-        "parity": res.parity,
-        "left_residual": res.left_residual,
-        "right_residual": res.right_residual,
-    }
     meta = {
         "descriptor": family.descriptor(),
         "hbs": summary,
@@ -288,53 +280,51 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(sp, family=False):
+    def command(name, fn, summary, family=False, route=True, workers=False):
+        """A subcommand on one well (or a family, strength free) with the options its run reads."""
+        sp = sub.add_parser(name, help=summary)
+        sp.set_defaults(fn=fn)
         sp.add_argument(
             "--potential",
             required=True,
             help="potential descriptor: inline JSON or a path to a JSON file"
             + (" (strength parameter free)" if family else ""),
         )
-        sp.add_argument("--method", choices=("wronskian", "transfer"), default="wronskian")
         sp.add_argument("--step", type=float, default=None, help="Runge-Kutta step (default min(a,1)/2000)")
-        sp.add_argument("--slices", type=int, default=scatter.GridConfig.n_slices,
-                        help="transfer-matrix slices, one fourth-order Magnus step each (default %(default)s)")
         sp.add_argument("--tail-tol", type=float, default=potentials.DEFAULT_TAIL_TOL,
                         help="decaying wells are cut where |V| falls to TAIL_TOL times the depth "
                              "(default %(default)s)")
         sp.add_argument("--out", default=None, help="output file (default stdout)")
-        sp.add_argument("--workers", type=int, default=1, help="accepted for compatibility; no effect (scans run in one process)")
+        if route:
+            sp.add_argument("--method", choices=("wronskian", "transfer"), default="wronskian")
+            sp.add_argument("--slices", dest="n_slices", type=int, default=scatter.GridConfig.n_slices,
+                            help="transfer-matrix slices, one fourth-order Magnus step each (default %(default)s)")
+        if workers:  # kept on the scans only because the benchmark's scan classes pass it
+            sp.add_argument("--workers", type=int, default=1, help="accepted for compatibility; no effect (scans run in one process)")
+        return sp
 
-    sp = sub.add_parser("reflect", help="one reflection/transmission evaluation")
-    common(sp)
+    sp = command("reflect", cmd_reflect, "one reflection/transmission evaluation")
     sp.add_argument("--energy", type=float, required=True)
-    sp.set_defaults(fn=cmd_reflect)
 
-    sp = sub.add_parser("scan-q", help="R vs strength at fixed energy")
-    common(sp, family=True)
+    sp = command("scan-q", cmd_scan_q, "R vs strength at fixed energy", family=True, workers=True)
     sp.add_argument("--energy", type=float, required=True)
     sp.add_argument("--q-min", type=float, required=True)
     sp.add_argument("--q-max", type=float, required=True)
     sp.add_argument("--points", type=int, required=True)
-    sp.set_defaults(fn=cmd_scan_q, method="transfer")
+    sp.set_defaults(method="transfer")
 
-    sp = sub.add_parser("scan-e", help="R vs energy for one potential")
-    common(sp)
+    sp = command("scan-e", cmd_scan_e, "R vs energy for one potential", workers=True)
     sp.add_argument("--e-min", type=float, required=True)
     sp.add_argument("--e-max", type=float, required=True)
     sp.add_argument("--points", type=int, required=True)
     sp.add_argument("--log", action="store_true", help="logarithmic energy grid")
-    sp.set_defaults(fn=cmd_scan_e)
 
-    sp = sub.add_parser("find-qc", help="locate a critical strength in a bracket")
-    common(sp, family=True)
+    sp = command("find-qc", cmd_find_qc, "locate a critical strength in a bracket (RK4)", family=True, route=False)
     sp.add_argument("--bracket", type=float, nargs=2, required=True, metavar=("LO", "HI"))
-    sp.set_defaults(fn=cmd_find_qc)
 
-    sp = sub.add_parser("hbs-profile", help="critical strength plus sampled zero-energy state")
-    common(sp, family=True)
+    sp = command("hbs-profile", cmd_hbs_profile, "critical strength plus sampled zero-energy state (RK4)",
+                 family=True, route=False)
     sp.add_argument("--bracket", type=float, nargs=2, required=True, metavar=("LO", "HI"))
-    sp.set_defaults(fn=cmd_hbs_profile)
 
     sp = sub.add_parser("table1", help="low-energy reflection table near the first critical strength")
     sp.add_argument("--out", default=None)
@@ -355,10 +345,10 @@ def main(argv=None) -> int:
     except critical.NoRootError as e:
         sys.stderr.write(f"error: {e}\n")
         return _EXIT_NO_ROOT
-    except (potentials.PotentialError, analytic.ValidityError, json.JSONDecodeError, ValueError) as e:
+    except ValueError as e:  # PotentialError, ValidityError and JSONDecodeError among them
         sys.stderr.write(f"error: {e}\n")
         return _EXIT_INPUT
-    except (ArithmeticError, scatter.IntegrationError) as e:
+    except ArithmeticError as e:  # IntegrationError among them
         sys.stderr.write(f"error: {e}\n")
         return _EXIT_NUMERICAL
 

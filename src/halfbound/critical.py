@@ -14,10 +14,11 @@ genuine mixture of the even-like and odd-like fundamental solutions rather
 than either alone.  The scan evaluates f on one batch of depth-scaled rows.
 
 The number of interior nodes of the saturating state equals the number of
-negative-energy bound states the well holds at that strength; away from
-criticality the same zero-energy shot, continued past the right edge as the
-straight line psi(L1) + psi'(L1)(x - L1), counts bound states by its
-whole-line node count (Sturm oscillation).
+negative-energy bound states the well holds at that strength.  On a symmetric
+well the state is even or odd and its nodes pair up about the origin, so the
+node count fixes its parity.  Away from criticality the same zero-energy shot,
+continued past the right edge as the straight line psi(L1) + psi'(L1)(x - L1),
+counts bound states by its whole-line node count (Sturm oscillation).
 
 The scan in q takes steps of 0.02.  The closest pair of critical strengths
 measured is 0.87 apart (sin^2 with m = 2, up to q = 30); that is an
@@ -35,7 +36,7 @@ import numpy as np
 
 from . import scatter
 from ._brent import brentq
-from .potentials import PotentialFamily
+from .potentials import Potential, PotentialFamily
 from .scatter import GridConfig
 
 __all__ = [
@@ -49,9 +50,6 @@ __all__ = [
 
 #: Default scan step for bracket hunting in q.
 SCAN_STEP = 0.02
-
-#: Residual/parity classification tolerance.
-PARITY_TOL = 1e-8
 
 #: Fraction of the support span added as saturated plateau on each side of a
 #: stored profile (the zero-energy state is exactly constant there).
@@ -70,7 +68,8 @@ class HbsResult:
     on both sides by the exact constant plateaus; ``node_count`` is its number
     of interior sign changes; the residuals are |psi'| at the two support
     edges (the left one is imposed, the right one is the root residual).
-    ``parity`` is "even"/"odd" for symmetric wells and "none" otherwise.
+    ``parity`` is "odd" for an odd node count on a symmetric well, "even" for
+    an even one, and "none" on an asymmetric well.
     """
 
     q_c: float
@@ -110,33 +109,39 @@ def find_critical_q(family: PotentialFamily, bracket: tuple[float, float], cfg: 
     """Locate one critical strength inside a sign-changing bracket.
 
     Brent root of :func:`hbs_mismatch` to |dq| <= 1e-10, then a re-shot at the
-    root fills the sampled profile, node count, edge residuals, and (for
-    symmetric wells) the parity classification.
+    root fills the sampled profile, node count, edge residuals and parity.
+    Each bracket end is evaluated once, by ``brentq``.
     """
     q_lo, q_hi = bracket
     if not (0.0 < q_lo < q_hi):
         raise ValueError(f"bracket must satisfy 0 < q_lo < q_hi, got {bracket}")
-    f_lo = hbs_mismatch(family, q_lo, cfg)
-    f_hi = hbs_mismatch(family, q_hi, cfg)
-    if f_lo == 0.0:
-        q_c = q_lo
-    elif f_hi == 0.0:
-        q_c = q_hi
-    elif f_lo * f_hi > 0.0:
+    fs: list[float] = []  # brentq evaluates q_lo, then q_hi, before any interior point
+
+    def mismatch(q: float) -> float:
+        fs.append(hbs_mismatch(family, q, cfg))
+        return fs[-1]
+
+    try:
+        q_c = brentq(mismatch, q_lo, q_hi, xtol=1e-12, rtol=8.9e-16)
+    except ValueError:
+        if len(fs) != 2 or not fs[0] * fs[1] > 0.0:
+            raise  # an invalid strength, not a same-sign bracket
         raise NoRootError(
             f"no critical point in range ({q_lo:g}, {q_hi:g}): "
-            f"mismatch {f_lo:.3e} -> {f_hi:.3e} does not change sign"
-        )
-    else:
-        q_c = brentq(lambda q: hbs_mismatch(family, q, cfg), q_lo, q_hi, xtol=1e-12, rtol=8.9e-16)
+            f"mismatch {fs[0]:.3e} -> {fs[1]:.3e} does not change sign"
+        ) from None
     return _result_at(family, float(q_c), cfg)
+
+
+def _saturating_state(p: Potential, cfg: GridConfig | None):
+    """The recorded left-saturating E = 0 shot (xs, psi, dpsi) and its interior node count."""
+    xs, psi, dpsi = scatter.shoot(p, E=0.0, psi0=1.0, dpsi0=0.0, cfg=cfg, record=True)
+    return xs, psi, dpsi, scatter.count_nodes(np.column_stack([xs, psi]))
 
 
 def _result_at(family: PotentialFamily, q_c: float, cfg: GridConfig | None) -> HbsResult:
     p = family.at(q_c)
-    xs, psi, dpsi = scatter.shoot(p, E=0.0, psi0=1.0, dpsi0=0.0, cfg=cfg, record=True)
-    interior = np.column_stack([xs, psi])
-    nodes = scatter.count_nodes(interior)
+    xs, psi, dpsi, nodes = _saturating_state(p, cfg)
     span = xs[-1] - xs[0]
     npad = max(int(PLATEAU_PAD * xs.size), 2)
     pad = span * PLATEAU_PAD
@@ -144,22 +149,13 @@ def _result_at(family: PotentialFamily, q_c: float, cfg: GridConfig | None) -> H
     right_x = np.linspace(xs[-1], xs[-1] + pad, npad + 1)[1:]
     prof_x = np.concatenate([left_x, xs, right_x])
     prof_psi = np.concatenate([np.full(npad, psi[0]), psi, np.full(npad, psi[-1])])
-    # parity classification against the state rebased to the origin
-    parity = "none"
-    if p.symmetric:
-        i0 = int(np.argmin(np.abs(xs)))
-        scale = max(np.max(np.abs(psi)), 1.0)
-        if abs(psi[i0]) < PARITY_TOL * scale:
-            parity = "odd"
-        elif abs(dpsi[i0]) < PARITY_TOL * scale:
-            parity = "even"
     return HbsResult(
         q_c=q_c,
         node_count=nodes,
         profile=np.column_stack([prof_x, prof_psi]),
         left_residual=0.0,
         right_residual=abs(dpsi[-1]),
-        parity=parity,
+        parity=("odd" if nodes % 2 else "even") if p.symmetric else "none",
     )
 
 
@@ -204,9 +200,7 @@ def bound_state_count_at(family: PotentialFamily, q: float, cfg: GridConfig | No
     the node count of the saturating state itself; exactly at a root the
     product test is fragile, so keep q away from q_c by more than ~1e-9.
     """
-    p = family.at(q)
-    xs, psi, dpsi = scatter.shoot(p, E=0.0, psi0=1.0, dpsi0=0.0, cfg=cfg, record=True)
-    nodes = scatter.count_nodes(np.column_stack([xs, psi]))
+    _, psi, dpsi, nodes = _saturating_state(family.at(q), cfg)
     if psi[-1] * dpsi[-1] < 0.0:
         nodes += 1
     return int(nodes)

@@ -18,7 +18,11 @@ SIN2_FAMILY = '{"kind":"Sin2Multiwell","params":{"a":1.0,"m":2}}'
 
 
 def run(args):
-    return cli.main(args)
+    """The exit code of ``halfbound args``, argparse's usage errors (SystemExit) included."""
+    try:
+        return cli.main(args)
+    except SystemExit as e:
+        return e.code
 
 
 #: The directory that holds the ``halfbound`` package under test.
@@ -191,6 +195,8 @@ class TestFindQc:
         assert out["node_count"] == 1
         assert out["parity"] == "odd"
         assert len(out["profile"]) <= 1001
+        # the search runs RK4 only, so the echo holds no slice count
+        assert out["grid"] == {"step": None, "tail_tol": 1e-12}
 
     def test_no_root_exit_code(self, capsys):
         code = run(["find-qc", "--potential", SQUARE_FAMILY, "--bracket", "1.7", "2.0"])
@@ -251,6 +257,33 @@ class TestSpecfunCheck:
         assert worst < 1e-10
 
 
+#: Every subcommand's option strings.  The grid options go only where a run
+#: reads them: find-qc and hbs-profile search on the RK4 route alone, so they
+#: take no --method or --slices.  --workers has no effect anywhere; it stays on
+#: the two scans only because the benchmark's energy-scan and strength-scan
+#: classes (perfbench/workloads.py) pass it.
+OPTIONS = {
+    "reflect": {"--potential", "--step", "--tail-tol", "--out", "--method", "--slices", "--energy"},
+    "scan-q": {"--potential", "--step", "--tail-tol", "--out", "--method", "--slices", "--workers",
+               "--energy", "--q-min", "--q-max", "--points"},
+    "scan-e": {"--potential", "--step", "--tail-tol", "--out", "--method", "--slices", "--workers",
+               "--e-min", "--e-max", "--points", "--log"},
+    "find-qc": {"--potential", "--step", "--tail-tol", "--out", "--bracket"},
+    "hbs-profile": {"--potential", "--step", "--tail-tol", "--out", "--bracket"},
+    "table1": {"--out"},
+    "specfun-check": set(),
+}
+
+
+def test_each_subcommand_takes_only_its_options():
+    sub = next(a for a in cli._build_parser()._actions if a.dest == "command")
+    got = {
+        name: {s for a in sp._actions for s in a.option_strings} - {"-h", "--help"}
+        for name, sp in sub.choices.items()
+    }
+    assert got == OPTIONS
+
+
 class TestExitCodes:
     def test_bad_kind_is_input_error(self, capsys):
         assert run(["reflect", "--potential", '{"kind":"Nope","params":{}}', "--energy", "1"]) == 2
@@ -304,6 +337,14 @@ class TestExitCodes:
             # a non-finite strength range
             ["scan-q", "--potential", SQUARE_FAMILY, "--energy", "0.1", "--q-min", "1", "--q-max", "inf",
              "--points", "5"],
+            # options a subcommand does not take: the critical search runs RK4 only, and reflect has no pool
+            ["find-qc", "--potential", SQUARE_FAMILY, "--bracket", "1.4", "1.8", "--method", "transfer"],
+            ["find-qc", "--potential", SQUARE_FAMILY, "--bracket", "1.4", "1.8", "--slices", "7"],
+            ["hbs-profile", "--potential", SQUARE_FAMILY, "--bracket", "1.4", "1.8", "--method", "transfer"],
+            ["hbs-profile", "--potential", SQUARE_FAMILY, "--bracket", "1.4", "1.8", "--workers", "2"],
+            ["reflect", "--potential", SQUARE, "--energy", "1.0", "--workers", "2"],
+            # a bracket reaching below the family's floor (nu = 1) is bad input, not a missing root
+            ["find-qc", "--potential", '{"kind":"SolitonWell","params":{}}', "--bracket", "0.5", "2.5"],
         ],
     )
     def test_invalid_input_is_exit_two(self, capsys, argv):

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import _airy
 from halfbound import analytic as an
 from halfbound import critical as cr
 from halfbound import potentials as pot
@@ -91,6 +92,45 @@ class TestFindCritical:
     def test_no_root_raises(self, square_family):
         with pytest.raises(cr.NoRootError):
             cr.find_critical_q(square_family, (1.7, 2.0))
+
+    def test_bracket_below_floor_is_invalid_not_rootless(self):
+        # the sech^2 family's strength nu must exceed 1
+        with pytest.raises(pot.PotentialError):
+            cr.find_critical_q(pot.make_family("SolitonWell"), (0.5, 2.5))
+
+    def test_each_bracket_end_evaluated_once(self, exp_family, monkeypatch):
+        mismatch = cr.hbs_mismatch
+        qs = []
+
+        def counted(family, q, cfg=None):
+            qs.append(q)
+            return mismatch(family, q, cfg)
+
+        monkeypatch.setattr(cr, "hbs_mismatch", counted)
+        res = cr.find_critical_q(exp_family, (2.2, 2.6))
+        assert qs[:2] == [2.2, 2.6]
+        assert qs.count(2.2) == qs.count(2.6) == 1
+        assert len(qs) == 8
+        assert res.q_c == cr.brentq(lambda q: mismatch(exp_family, q), 2.2, 2.6, xtol=1e-12, rtol=8.9e-16)
+
+    @pytest.mark.parametrize(
+        "kind, params, q_max",
+        [
+            ("SquareWell", {"a": 1.0}, 8.0),
+            ("ParabolicWell", {"a": 1.0, "b": 1.0}, 9.0),
+            ("Sin2Multiwell", {"a": 1.0, "m": 2}, 12.0),
+            ("SolitonWell", {}, 5.5),
+        ],
+    )
+    def test_symmetric_parity_follows_node_count(self, kind, params, q_max):
+        # an odd state ends on plateaus of opposite sign, an even one on equal plateaus
+        roots = cr.critical_spectrum(pot.make_family(kind, **params), q_max)
+        assert {r.parity for r in roots} == {"odd", "even"}
+        for r in roots:
+            left, right = r.profile[0, 1], r.profile[-1, 1]
+            sign = -1.0 if r.parity == "odd" else 1.0
+            assert r.parity == ("odd" if r.node_count % 2 else "even")
+            assert abs(right - sign * left) <= 1e-8 * abs(left)
 
 
 class TestSpectra:
@@ -180,16 +220,44 @@ class TestAsymmetricThreshold:
         for r in cr.critical_spectrum(fam, 6.0):
             r0 = sc.threshold_limit_r(sc.integrate_uv(fam.at(r.q_c), 0.0))
             assert 0.0 < abs(r0) < 1.0
-        # first critical's partial amplitude, frozen from the oracle
+        # first critical's partial amplitude against the Airy oracle (skips without mpmath)
         first = cr.find_critical_q(fam, (2.4, 2.7))
         r0 = sc.threshold_limit_r(sc.integrate_uv(fam.at(first.q_c), 0.0))
-        assert abs(r0) == pytest.approx(0.345499, abs=5e-4)
+        assert abs(abs(r0) - _airy.threshold_r(2.53)) <= 1e-11
 
     def test_parabolic_asymmetric_partial_reflection(self):
         fam = pot.make_family("ParabolicWell", a=1.0, b=1.1)
         first = cr.find_critical_q(fam, (2.0, 2.3))
         r0 = sc.threshold_limit_r(sc.integrate_uv(fam.at(first.q_c), 0.0))
         assert 0.0 < abs(r0) < 1.0
+
+
+class TestPlateauLaw:
+    """A half-bound state with plateaus A on the left and B on the right has
+    R(0) = ((A^2 - B^2)/(A^2 + B^2))^2: the threshold limit assembled from the
+    boundary data and the recorded profile's end values are one state.
+    """
+
+    @pytest.mark.parametrize(
+        "kind, params, roots",
+        [
+            ("ParabolicWell", {"a": 1.0, "b": 0.6}, 2),
+            ("SquareTriangular", {"a": 1.0, "alpha": 0.5}, 3),
+            ("SquareTriangular", {"a": 1.0, "alpha": 1.0}, 2),
+        ],
+    )
+    def test_every_root_up_to_six(self, kind, params, roots):
+        fam = pot.make_family(kind, **params)
+        found = cr.critical_spectrum(fam, 6.0)
+        assert len(found) == roots
+        for r in found:
+            a2, b2 = r.profile[0, 1] ** 2, r.profile[-1, 1] ** 2
+            law = ((a2 - b2) / (a2 + b2)) ** 2
+            p = fam.at(r.q_c)
+            assert abs(abs(sc.threshold_limit_r(sc.integrate_uv(p, 0.0))) ** 2 - law) <= 1e-10 * law
+            # R(E) = R(0) (1 + c E) with |c| < 10 on these roots, so E = 1e-12 keeps
+            # the physical shift below 1e-11 (at E = 1e-10 it reaches 8.7e-10)
+            assert abs(sc.reflection_wronskian(sc.integrate_uv(p, 1e-12)).R - law) <= 1e-10 * law
 
 
 class TestBoundStateCount:

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import _airy
 from halfbound import analytic as an
 from halfbound import potentials as pot
 from halfbound import scatter as sc
@@ -465,14 +466,15 @@ class TestThresholdLimit:
         from halfbound import critical as cr
 
         # first critical of the tilted well (near 2.5317); the saturation
-        # precondition needs q_c polished well past the frozen 6 digits
+        # precondition needs q_c polished to the root, not to a few digits
         fam = pot.make_family("SquareTriangular", a=1.0, alpha=1.0)
         res = cr.find_critical_q(fam, (2.4, 2.7))
-        assert res.q_c == pytest.approx(2.531708, abs=1e-5)
         bd = sc.integrate_uv(fam.at(res.q_c), 0.0)
         r0 = sc.threshold_limit_r(bd)
         assert 1e-3 < abs(r0) < 1.0 - 1e-3
-        assert abs(r0) == pytest.approx(0.345499, abs=5e-4)
+        # the Airy oracle (skips without mpmath): q_c off by 1.4e-13, |r0| by 2.0e-13
+        assert abs(res.q_c - _airy.critical_q(2.53)) <= 1e-11
+        assert abs(abs(r0) - _airy.threshold_r(2.53)) <= 1e-11
 
     def test_noncritical_raises(self):
         bd = sc.integrate_uv(_well("SquareWell", V0=1.0, a=1.0), 0.0)
